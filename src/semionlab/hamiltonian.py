@@ -234,48 +234,101 @@ def predicted_ground_degeneracy(layout: HoneycombLayout, j_up: float,
     return (4 if u == 0 else 2) ** chains
 
 
-def dense_matrix(ham: HamiltonianTerms,
-                 dense_limit: int = DENSE_LIMIT) -> np.ndarray:
-    """Dense matrix of a term list; real symmetric when possible.
-
-    Terms with an even phase exponent have real entries, so a term list
-    made of such operators is assembled directly in float64.
-    """
-    n = ham.n_sites
-    if n > dense_limit:
+def _check_dense(ham: HamiltonianTerms, dense_limit: int) -> None:
+    if ham.n_sites > dense_limit:
         raise CapacityError(
-            f"dense Hamiltonian on {n} sites exceeds limit {dense_limit}")
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.uint64)
-    rows = idx.astype(np.int64)
+            f"dense Hamiltonian on {ham.n_sites} sites exceeds limit "
+            f"{dense_limit}")
+
+
+def _assemble(ham: HamiltonianTerms, states: np.ndarray) -> np.ndarray:
+    """Matrix of ``ham`` on the span of the ascending basis ``states``.
+
+    Entry ``[a, b]`` is ``<states[a]| H |states[b]>``.  Terms with an
+    even phase exponent have real entries, so a term list made of such
+    operators is assembled directly in float64.  Raises if a term maps
+    a basis state outside the span.
+    """
+    size = states.size
+    src = np.arange(size)
     all_real = all(op.phase_exp % 2 == 0 for _, op in ham.terms)
-    mat = np.zeros((dim, dim), dtype=np.float64 if all_real else complex)
+    mat = np.zeros((size, size), dtype=np.float64 if all_real else complex)
     for coeff, op in ham.terms:
         phase = 1j ** op.phase_exp
         if all_real:
             phase = phase.real
-        signs = np.bitwise_count(idx & np.uint64(op.z_mask)).astype(np.int64)
+        signs = np.bitwise_count(states & np.uint64(op.z_mask)).astype(np.int64)
         vals = coeff * phase * np.where(signs % 2 == 0, 1.0, -1.0)
-        cols = (idx ^ np.uint64(op.x_mask)).astype(np.int64)
-        mat[cols, rows] += vals
+        targets = states ^ np.uint64(op.x_mask)
+        dst = np.minimum(np.searchsorted(states, targets), size - 1)
+        if not np.array_equal(states[dst], targets):
+            raise AssertionError(f"term {op} leaves the assembled sector")
+        mat[dst, src] += vals
     return mat
+
+
+def _z_sectors(ham: HamiltonianTerms) -> list[np.ndarray]:
+    """Basis indices of each joint sign sector of the conserved Z terms.
+
+    A Z-only term that commutes with every term is diagonal and
+    conserved, so its parity labels a block of the Hamiltonian.  The
+    masks are reduced to a GF(2)-independent set first, so there are at
+    most ``n_sites`` label bits.  A term list with no such term is one
+    sector holding the whole basis.
+    """
+    ops = [op for _, op in ham.terms]
+    masks: list[int] = []
+    for op in ops:
+        if op.x_mask == 0 and op.z_mask and all(commutes(op, q) for q in ops):
+            m = op.z_mask
+            for b in masks:
+                m = min(m, m ^ b)
+            if m:
+                masks.append(m)
+    idx = np.arange(1 << ham.n_sites, dtype=np.uint64)
+    labels = np.zeros(idx.size, dtype=np.int64)
+    for bit, m in enumerate(masks):
+        parity = np.bitwise_count(idx & np.uint64(m)).astype(np.int64) & 1
+        labels |= parity << bit
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(np.diff(labels[order])) + 1
+    return np.split(idx[order], cuts)
+
+
+def dense_matrix(ham: HamiltonianTerms,
+                 dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+    """Dense matrix of a term list; real symmetric when possible."""
+    _check_dense(ham, dense_limit)
+    return _assemble(ham, np.arange(1 << ham.n_sites, dtype=np.uint64))
 
 
 def spectrum(ham: HamiltonianTerms, k: int | None = None,
              dense_limit: int = DENSE_LIMIT, tol: float = 1e-8) -> np.ndarray:
     """Eigenvalues, ascending.
 
-    ``k = None`` returns the full spectrum via a dense solve (capacity
-    limited); an integer ``k`` uses a matrix-free Lanczos solve for the
-    ``k`` smallest eigenvalues, converged to ``tol``.  Every value the
+    ``k = None`` returns the full spectrum, every eigenvalue with its
+    exact multiplicity, by sector-resolved exact diagonalization: the
+    basis is split by the joint signs of the Z-only terms that commute
+    with every term, each sector block is assembled from the term
+    entries and solved densely, and the block spectra are merged.  A
+    term list without such terms is a single block, the plain dense
+    solve.  ``dense_limit`` still bounds the register size of this path
+    (``CapacityError`` above it), as it bounds :func:`dense_matrix`.
+
+    An integer ``k`` uses a matrix-free Lanczos solve for the ``k``
+    smallest eigenvalues, converged to ``tol``.  Every value the
     iterative path returns is a true eigenvalue and the smallest one is
     reliable, but Krylov iteration cannot certify multiplicities of the
     highly degenerate levels these commuting Hamiltonians carry; use the
-    dense path when the multiset matters.
+    full path when the multiset matters.
     """
     if k is None:
-        mat = dense_matrix(ham, dense_limit)
-        return scipy.linalg.eigvalsh(mat)
+        _check_dense(ham, dense_limit)
+        # every block is assembled, and so checked closed under every
+        # term, before any is solved
+        blocks = [_assemble(ham, states) for states in _z_sectors(ham)]
+        return np.sort(np.concatenate(
+            [scipy.linalg.eigvalsh(block) for block in blocks]))
     dim = 1 << ham.n_sites
     if k >= dim - 1:
         raise ValueError(f"iterative path needs k < {dim - 1}")

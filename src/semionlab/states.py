@@ -35,6 +35,21 @@ __all__ = [
 ]
 
 
+def _amplitude_count(n_qubits: int, cavity_dim: int) -> int:
+    """Amplitudes of a cavity (x) qubit register, checked against the limit.
+
+    Runs before any amplitude array is allocated.
+    """
+    if cavity_dim < 1:
+        raise DimensionMismatchError("cavity_dim must be >= 1")
+    count = cavity_dim * (1 << n_qubits)
+    if count > DENSE_STATE_LIMIT:
+        raise CapacityError(
+            f"{count} amplitudes exceed the dense-state limit "
+            f"{DENSE_STATE_LIMIT}")
+    return count
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Complex amplitudes over cavity (x) qubits."""
@@ -44,13 +59,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.cavity_dim < 1:
-            raise DimensionMismatchError("cavity_dim must be >= 1")
-        expected = self.cavity_dim * (1 << self.n_qubits)
-        if expected > DENSE_STATE_LIMIT:
-            raise CapacityError(
-                f"{expected} amplitudes exceed the dense-state limit "
-                f"{DENSE_STATE_LIMIT}")
+        expected = _amplitude_count(self.n_qubits, self.cavity_dim)
         amps = np.asarray(self.amplitudes, dtype=complex)
         if amps.shape != (expected,):
             raise DimensionMismatchError(
@@ -96,7 +105,7 @@ def basis_state(n_qubits: int, bits: int = 0, cavity_dim: int = 1,
         raise DimensionMismatchError(f"bits {bits} outside register")
     if not 0 <= cavity_level < cavity_dim:
         raise DimensionMismatchError("cavity level outside truncation")
-    amps = np.zeros(cavity_dim * (1 << n_qubits), dtype=complex)
+    amps = np.zeros(_amplitude_count(n_qubits, cavity_dim), dtype=complex)
     amps[cavity_level * (1 << n_qubits) + bits] = 1.0
     return StateVector(n_qubits, cavity_dim, amps)
 
@@ -113,7 +122,7 @@ def reference_state(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector
 def random_state(n_qubits: int, cavity_dim: int = 1,
                  rng: np.random.Generator | None = None) -> StateVector:
     rng = rng or np.random.default_rng()
-    dim = cavity_dim * (1 << n_qubits)
+    dim = _amplitude_count(n_qubits, cavity_dim)
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(n_qubits, cavity_dim, amps).normalized()
 

@@ -187,6 +187,16 @@ class TestQndGate:
         dev = qnd_closed_form_deviation(params, 2)
         assert dev > 0.5
 
+    def test_spectral_norm_falls_back_to_svd_off_diagonal(self):
+        from semionlab.anyons import _spectral_norm
+        rng = np.random.default_rng(5)
+        diag = np.diag(rng.standard_normal(6) + 1j * rng.standard_normal(6))
+        assert _spectral_norm(diag) == np.max(np.abs(np.diagonal(diag)))
+        full = diag.copy()
+        full[1, 4] = 0.75
+        assert _spectral_norm(full) == np.linalg.norm(full, 2)
+        assert _spectral_norm(full) > np.max(np.abs(np.diagonal(full)))
+
     def test_independent_matrix_oracle(self):
         # full-space exponential built from scratch, not via the module
         n = 3

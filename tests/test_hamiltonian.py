@@ -4,11 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from semionlab.errors import CapacityError
 from semionlab.hamiltonian import (
     DiagonalOracle,
     HamiltonianTerms,
+    _z_sectors,
     build_device_hamiltonian,
     build_spin_hamiltonian,
     dense_matrix,
@@ -140,11 +142,65 @@ class TestMappingEquivalence:
         for val in lanczos:
             assert np.min(np.abs(dense - val)) < 1e-7
 
+    @pytest.mark.parametrize("dims", [(1, 4), (2, 3)])
+    def test_plain_dense_path_matches_oracle(self, dims):
+        # the full-matrix solve keeps its own check against the oracle,
+        # independent of the sector split that spectrum() uses
+        layout = build_layout(*dims)
+        j_up, j_down, u = 0.9, 1.6, 0.7
+        ham = build_spin_hamiltonian(layout, j_up, j_down, u)
+        eig = scipy.linalg.eigvalsh(dense_matrix(ham))
+        orc = DiagonalOracle(layout, j_up, j_down, u).sorted_spectrum()
+        assert np.max(np.abs(eig - orc)) < 1e-10
+
     def test_capacity_error(self):
         layout = build_layout(3, 3)  # 18 sites
         ham = build_spin_hamiltonian(layout, 1, 1, 1)
         with pytest.raises(CapacityError):
             spectrum(ham)
+
+
+def _terms(n: int, *pairs) -> HamiltonianTerms:
+    return HamiltonianTerms("honeycomb_spin", n, tuple(
+        (coeff, PauliString.parse(text)) for coeff, text in pairs))
+
+
+def _dense_spectrum(ham: HamiltonianTerms) -> np.ndarray:
+    return scipy.linalg.eigvalsh(dense_matrix(ham))
+
+
+class TestSectorSpectrum:
+    def test_spin_hamiltonian_splits_by_link_signs(self):
+        # six link ZZ terms at 2x3: 64 sectors of 64 states
+        layout = build_layout(2, 3)
+        ham = build_spin_hamiltonian(layout, 1.0, 0.8, 1.2)
+        assert [s.size for s in _z_sectors(ham)] == [64] * 64
+
+    def test_y_and_complex_phase_terms_match_dense(self):
+        # Y X and X Y terms have odd phase exponents, so the blocks are
+        # complex; Z0 anticommutes with Y0 X1 and must not label sectors
+        ham = _terms(4, (0.7, "ZZII"), (0.4, "IIZZ"), (1.1, "YXII"),
+                     (-0.6, "IIXY"), (0.5, "YXXX"), (0.3, "ZIII"),
+                     (-0.8, "- YYII"))
+        assert len(_z_sectors(ham)) == 4
+        assert np.max(np.abs(spectrum(ham) - _dense_spectrum(ham))) < 1e-10
+
+    def test_fully_diagonal_device_hamiltonian_matches_dense(self):
+        layout = build_layout(2, 2)
+        ham = build_device_hamiltonian(layout, 0.8, 1.1, 0.5)
+        assert len(_z_sectors(ham)) > 1
+        assert np.max(np.abs(spectrum(ham) - _dense_spectrum(ham))) < 1e-10
+
+    def test_no_z_only_term_is_one_block(self):
+        ham = _terms(3, (0.9, "XXI"), (-0.4, "IYY"), (0.6, "YIX"),
+                     (1.3, "XZY"))
+        assert len(_z_sectors(ham)) == 1
+        assert np.max(np.abs(spectrum(ham) - _dense_spectrum(ham))) < 1e-10
+
+    def test_non_commuting_z_term_is_not_a_label(self):
+        ham = _terms(1, (1.0, "X"), (1.0, "Z"))
+        assert np.allclose(spectrum(ham), [-np.sqrt(2), np.sqrt(2)],
+                           atol=1e-14)
 
 
 class TestGroundDegeneracy:
