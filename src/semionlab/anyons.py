@@ -33,7 +33,6 @@ from .pauli import (
     apply_to_amplitudes,
     commutes,
     multiply,
-    multiply_all,
 )
 from .states import StateVector, apply_pauli, expectation, overlap
 
@@ -98,16 +97,6 @@ class StringSpec:
         """Occupation-changing string at one site (compiles to a single X)."""
         op = x_string_op(layout, square_site, color)
         return StringSpec("x", op.sites(), op)
-
-    @classmethod
-    def plaquette_loop(cls, layout: HoneycombLayout, family: str,
-                       indices) -> "StringSpec":
-        """Product of plaquette stabilizers over a region."""
-        ops = [plaquette_op(layout, layout.bond_plaquettes[i], family)
-               for i in indices]
-        op = multiply_all(ops) if ops else PauliString.identity(
-            layout.n_sites, REP_HONEYCOMB)
-        return StringSpec(family, op.sites(), op)
 
 
 # -- vortex bookkeeping ----------------------------------------------
@@ -344,9 +333,11 @@ class ControlledString:
     def apply(self, state: StateVector) -> StateVector:
         """Apply the conditioned string gate to a cavity-tensored state.
 
-        Sector ``n_c`` receives ``n_c`` applications of the one-photon
+        Sector ``n_c`` receives the ``n_c``-th power of the one-photon
         unitary, which reproduces the exact dispersive evolution at the
-        canonical time for every truncation level.
+        canonical time for every truncation level.  That power is the
+        phase to the ``n_c`` times the Z string to the ``n_c mod 2``, so
+        each sector takes one application.
         """
         if state.cavity_dim < 2:
             raise CapacityError("controlled string needs a cavity register")
@@ -354,10 +345,10 @@ class ControlledString:
         u1 = qnd_unitary(params, 1, state.n_qubits)
         blocks = state.blocks().copy()
         for n_c in range(1, state.cavity_dim):
-            amps = blocks[n_c]
-            for _ in range(n_c):
-                amps = apply_to_amplitudes(u1, amps)
-            blocks[n_c] = amps
+            power = PauliString(state.n_qubits, 0,
+                                u1.z_mask if n_c % 2 else 0,
+                                u1.phase_exp * n_c)
+            blocks[n_c] = apply_to_amplitudes(power, blocks[n_c])
         return StateVector(state.n_qubits, state.cavity_dim, blocks.ravel())
 
 

@@ -53,20 +53,46 @@ from .states import (
     random_state,
 )
 
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# value kind -> (description for the error message, check)
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "number": ("a number", _is_number),
+    "number_or_null": ("a number or null",
+                       lambda v: v is None or _is_number(v)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "ints": ("a list of integers",
+             lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+}
+
+_DIMS = {"rows": "int", "cols": "int"}
+_COUPLINGS = {"j_up": "number", "j_down": "number", "u": "number"}
+
+# command -> (required keys, optional keys), each mapping key -> kind
 _SCHEMAS = {
-    "lattice": {"required": {"rows", "cols"}, "optional": set()},
-    "spectrum": {"required": {"rows", "cols"},
-                 "optional": {"j_up", "j_down", "u", "random_trials",
-                              "tolerance"}},
-    "ground": {"required": {"rows", "cols"},
-               "optional": {"j_up", "j_down", "u"}},
-    "braid": {"required": {"rows", "cols", "loop", "crossing"},
-              "optional": {"state_check"}},
-    "qnd": {"required": {"n_qubits", "sites"},
-            "optional": {"chi", "tau", "cavity_levels", "tolerance"}},
-    "circuit": {"required": {"c_g", "c_j", "e_j"},
-                "optional": {"n_g", "c_c", "beta", "c_a", "c_b",
-                             "omega_c", "delta", "g", "temperature"}},
+    "lattice": (_DIMS, {}),
+    "spectrum": (_DIMS, {**_COUPLINGS, "random_trials": "int",
+                         "tolerance": "number"}),
+    "ground": (_DIMS, _COUPLINGS),
+    "braid": ({**_DIMS, "loop": "object", "crossing": "object"},
+              {"state_check": "bool"}),
+    "qnd": ({"n_qubits": "int", "sites": "ints"},
+            {"chi": "number", "tau": "number", "cavity_levels": "int",
+             "tolerance": "number"}),
+    "circuit": ({"c_g": "number", "c_j": "number", "e_j": "number"},
+                {"n_g": "number", "c_c": "number", "beta": "number",
+                 "c_a": "number", "c_b": "number", "omega_c": "number",
+                 "delta": "number", "g": "number",
+                 "temperature": "number_or_null"}),
 }
 
 
@@ -78,32 +104,39 @@ def _load_config(path: str, command: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    schema = _SCHEMAS[command]
+    required, optional = _SCHEMAS[command]
+    kinds = {**required, **optional}
     keys = set(cfg)
-    missing = schema["required"] - keys
-    unknown = keys - schema["required"] - schema["optional"]
+    missing = required.keys() - keys
+    unknown = keys - kinds.keys()
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key in sorted(keys):
+        what, check = _KINDS[kinds[key]]
+        if not check(cfg[key]):
+            raise ConfigError(
+                f"config key {key!r} must be {what}, got {cfg[key]!r}")
     return cfg
 
 
 def _string_spec(layout, spec: dict) -> StringSpec:
-    if not isinstance(spec, dict) or "family" not in spec or "sites" not in spec:
-        raise ConfigError("string spec needs 'family' and 'sites'")
+    if "family" not in spec or not isinstance(spec.get("sites"), list):
+        raise ConfigError("string spec needs 'family' and a list of 'sites'")
     family = spec["family"]
     sites = []
     for entry in spec["sites"]:
-        if isinstance(entry, int):
+        if _is_int(entry):
             sites.append(entry)
-        elif isinstance(entry, (list, tuple)) and len(entry) == 2:
-            sites.append(layout.rank(int(entry[0]), str(entry[1])))
+        elif isinstance(entry, (list, tuple)) and len(entry) == 2 and \
+                _is_int(entry[0]) and isinstance(entry[1], str):
+            sites.append(layout.rank(entry[0], entry[1]))
         else:
             raise ConfigError(f"bad site entry {entry!r}")
     builders = {"z": StringSpec.z_string, "x": StringSpec.x_string,
                 "y": StringSpec.y_string}
-    if family not in builders:
+    if not isinstance(family, str) or family not in builders:
         raise ConfigError(f"unknown string family {family!r}")
     return builders[family](layout, sites)
 

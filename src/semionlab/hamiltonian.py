@@ -178,11 +178,6 @@ class DiagonalOracle:
         e += self.u * float(np.dot(s_up, s_dn))
         return e
 
-    def energy_from_bitstring(self, bits: int) -> float:
-        """Single ``2N``-bit argument: up species first, then down."""
-        mask = (1 << self.n) - 1
-        return self.energy(bits & mask, bits >> self.n)
-
     def enumerate_energies(self) -> np.ndarray:
         """All ``2**(2N)`` energies, vectorized, unsorted."""
         if self.n > 12:

@@ -22,7 +22,6 @@ would flip the sign on white sites; a unit test records that fact).
 
 from __future__ import annotations
 
-from .errors import RepresentationError
 from .lattice import BLACK, WHITE, BondPlaquette, HoneycombLayout
 from .pauli import PauliString, multiply, multiply_all
 
@@ -198,9 +197,3 @@ def x_string_device(layout: HoneycombLayout, square_site: int,
         factors.append(
             z_op_device(layout, s.square_site, s.color).times_i())
     return multiply_all(factors)
-
-
-def require_same_rep(*ops: PauliString) -> None:
-    reps = {op.rep for op in ops if op.rep is not None}
-    if len(reps) > 1:
-        raise RepresentationError(f"mixed representations: {sorted(reps)}")

@@ -245,17 +245,10 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return overlap % 2 == 0
 
 
-def commutation_phase(p: PauliString, q: PauliString) -> complex:
-    """The scalar ``s`` with ``p q = s q p`` (+1 or -1 for Paulis)."""
-    return 1.0 + 0j if commutes(p, q) else -1.0 + 0j
-
-
-def apply_phases(p: PauliString, indices: np.ndarray) -> np.ndarray:
-    """Per-basis-state scalar ``i**phase * (-1)**popcount(idx & z)``."""
-    signs = np.bitwise_count(indices & np.uint64(p.z_mask)).astype(np.int64)
-    phase = 1j ** p.phase_exp
-    out = np.where(signs % 2 == 0, phase, -phase)
-    return out
+def _z_signs(z_mask: int, n_bits: int) -> np.ndarray:
+    """``(-1)**popcount(i & z_mask)`` for every ``i < 2**n_bits``."""
+    idx = np.arange(1 << n_bits, dtype=np.uint64)
+    return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(z_mask)) & 1)
 
 
 def apply_to_amplitudes(p: PauliString, amps: np.ndarray) -> np.ndarray:
@@ -263,16 +256,40 @@ def apply_to_amplitudes(p: PauliString, amps: np.ndarray) -> np.ndarray:
 
     ``amps`` may be 1-D of length ``2**n_sites`` or 2-D with the qubit
     index as the last axis (used for cavity-tensored registers).  The
-    action is a bit-level permutation plus phase flips, so the norm is
-    preserved exactly.
+    result is a new complex array of the same shape.
+
+    The amplitudes are viewed as a ``(2,) * n_sites`` tensor, site ``j``
+    on the ``j``-th axis from the end.  The X factors reverse the axes
+    of their sites (a view, no index array), so output index ``t`` reads
+    input index ``t ^ x_mask``.  The sign of that term,
+    ``(-1)**popcount((t ^ x_mask) & z_mask)``, is
+    ``(-1)**popcount(x_mask & z_mask)`` times ``(-1)**popcount(t & z_mask)``,
+    and the second factor splits over the high ``ceil(n/2)`` and low
+    ``floor(n/2)`` bits of ``t``.  One multiply of the reversed view by
+    the high-half signs (with the global phase folded in) writes the
+    output; the low-half signs, if any, follow in place.  No array of
+    length ``2**n_sites`` is built besides the output, and the action
+    only permutes amplitudes and multiplies them by units, so the norm
+    is preserved exactly.
     """
-    dim = 1 << p.n_sites
-    if amps.shape[-1] != dim:
+    n = p.n_sites
+    if amps.shape[-1] != 1 << n:
         raise DimensionMismatchError(
-            f"amplitude axis {amps.shape[-1]} != 2**{p.n_sites}")
-    idx = np.arange(dim, dtype=np.uint64)
-    coeff = apply_phases(p, idx)
-    out = np.empty_like(amps, dtype=complex)
-    target = (idx ^ np.uint64(p.x_mask)).astype(np.int64)
-    out[..., target] = amps[..., :] * coeff
+            f"amplitude axis {amps.shape[-1]} != 2**{n}")
+    lead = amps.shape[:-1]
+    tensor = amps.reshape(*lead, *(2,) * n)
+    flipped = np.flip(tensor, axis=tuple(
+        len(lead) + n - 1 - j for j in range(n) if p.x_mask >> j & 1))
+    lo = n // 2
+    hi = n - lo
+    phase = 1j ** p.phase_exp
+    if int.bit_count(p.x_mask & p.z_mask) % 2:
+        phase = -phase
+    coeff = phase * _z_signs(p.z_mask >> lo, hi)
+    out = np.empty(amps.shape, dtype=complex)
+    np.multiply(flipped, coeff.reshape((2,) * hi + (1,) * lo),
+                out=out.reshape(tensor.shape))
+    if p.z_mask & ((1 << lo) - 1):
+        rows = out.reshape(*lead, 1 << hi, 1 << lo)
+        rows *= _z_signs(p.z_mask, lo)
     return out

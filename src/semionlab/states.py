@@ -165,7 +165,7 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
     for plq in layout.bond_plaquettes:
         for family in (UP, DOWN):
             op = plaquette_op(layout, plq, family)
-            amps = amps + apply_to_amplitudes(op, amps)
+            amps += apply_to_amplitudes(op, amps)
             if not np.any(amps):
                 raise ZeroProjectionError(
                     f"plaquette {plq.index} ({family}) annihilated the state")

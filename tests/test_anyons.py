@@ -267,6 +267,18 @@ class TestControlledString:
         out = ControlledString(1, 0, (1, 2, 3)).apply(st)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
+    def test_four_level_cavity_matches_repeated_one_photon_gate(self):
+        # sector n_c must carry u1 applied n_c times, for odd and even N
+        n = 4
+        st = random_state(n, cavity_dim=4, rng=np.random.default_rng(4))
+        for sites in ((0, 2, 3), (1, 3)):
+            u1 = qnd_unitary(QndParams.canonical(1.0, sites), 1,
+                             n).to_matrix()
+            out = ControlledString(1, 0, sites).apply(st)
+            for n_c in range(4):
+                want = np.linalg.matrix_power(u1, n_c) @ st.blocks()[n_c]
+                assert np.max(np.abs(out.blocks()[n_c] - want)) < 1e-14
+
 
 class TestBasisChange:
     def test_hadamard_z_to_x_single_site(self):

@@ -180,6 +180,21 @@ class TestCircuit:
         assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize("command,payload", [
+    ("qnd", {"n_qubits": 3, "sites": 5}),
+    ("lattice", {"rows": "2", "cols": [3]}),
+])
+def test_mistyped_config_values_exit_2(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    code, out, err = run([command, "--config", cfg], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: config key ") and err.count("\n") == 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "semionlab.cli", command, "--config", cfg],
+        capture_output=True, text=True)
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+
 def test_out_file_written(tmp_path, capsys):
     cfg = write_config(tmp_path, "lat.json", {"rows": 1, "cols": 2})
     out_path = tmp_path / "report.json"

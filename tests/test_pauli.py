@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semionlab.errors import (
     CapacityError,
@@ -164,6 +166,27 @@ class TestApplyToState:
         p = random_pauli(rng, 6)
         out = apply_to_amplitudes(p, amps)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(amps),
+                                                    abs=0, rel=1e-15)
+
+
+class TestApplyProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(letters=st.lists(st.sampled_from("IXYZ"), min_size=1, max_size=8),
+           phase=st.integers(0, 3),
+           lead=st.sampled_from([(), (3,)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_matrix(self, letters, phase, lead, seed):
+        n = len(letters)
+        p = PauliString.from_letters(n, dict(enumerate(letters))).times_i(
+            phase)
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((*lead, 1 << n)) + \
+            1j * rng.standard_normal((*lead, 1 << n))
+        got = apply_to_amplitudes(p, block)
+        want = block @ p.to_matrix().T
+        assert got.shape == block.shape and got.dtype == complex
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(block),
                                                     abs=0, rel=1e-15)
 
 
