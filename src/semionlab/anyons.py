@@ -25,11 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import CapacityError, DimensionMismatchError
+from .errors import CapacityError, DimensionMismatchError, _require_capacity
 from .lattice import HoneycombLayout
 from .operators import DOWN, REP_HONEYCOMB, UP, plaquette_op, x_string_op
 from .pauli import (
     PauliString,
+    _site_mask,
     apply_to_amplitudes,
     commutes,
     multiply,
@@ -254,22 +255,15 @@ def qnd_unitary(params: QndParams, n_c: int, n_qubits: int) -> PauliString:
         raise ValueError("closed form stated for the 0- and 1-photon sectors")
     if n_c == 0:
         return PauliString.identity(n_qubits)
-    mask = 0
-    for s in params.sites:
-        if not 0 <= s < n_qubits:
-            raise DimensionMismatchError(f"site {s} outside register")
-        mask |= 1 << s
-    return PauliString(n_qubits, 0, mask, 3 * params.n)
+    return PauliString(n_qubits, 0, _site_mask(params.sites, n_qubits),
+                       3 * params.n)
 
 
 def _qnd_diagonal(params: QndParams, n_qubits: int,
                   cavity_dim: int) -> np.ndarray:
     """Diagonal of the dispersive Hamiltonian over cavity (x) qubits."""
-    dim = 1 << n_qubits
-    mask = 0
-    for s in params.sites:
-        mask |= 1 << s
-    bits = np.arange(dim, dtype=np.uint64)
+    mask = _site_mask(params.sites, n_qubits)
+    bits = np.arange(1 << n_qubits, dtype=np.uint64)
     zsum = params.n - 2 * np.bitwise_count(bits & np.uint64(mask)).astype(
         np.int64)
     levels = np.arange(cavity_dim)
@@ -285,8 +279,8 @@ def qnd_closed_form_deviation(params: QndParams, n_qubits: int,
     photon number.  Zero (to roundoff) at the canonical time.
     """
     dim = 1 << n_qubits
-    if cavity_dim * dim > 4096:
-        raise CapacityError("dispersive comparison register too large")
+    _require_capacity((cavity_dim * dim) ** 2,
+                      f"dispersive evolution over {cavity_dim} x {dim} states")
     diag = _qnd_diagonal(params, n_qubits, cavity_dim)
     exact = scipy.linalg.expm(-1j * params.tau * np.diag(diag))
     canonical = QndParams.canonical(params.chi, params.sites)
@@ -388,11 +382,7 @@ def string_basis_change(axis: str, sites, n_qubits: int) -> PauliString:
     (for ``axis="y"``); the result equals the directly built letter
     product, which tests assert against dense matrices.
     """
-    mask = 0
-    for s in sites:
-        if not 0 <= s < n_qubits:
-            raise DimensionMismatchError(f"site {s} outside register")
-        mask |= 1 << s
+    mask = _site_mask(sites, n_qubits)
     uz = PauliString(n_qubits, 0, mask, 0)
     if axis == "x":
         return conjugate_by_hadamard(uz, mask)
@@ -426,6 +416,12 @@ def interferometry_run(layout: HoneycombLayout, state: StateVector,
         raise CapacityError("interferometry needs a cavity register")
     if state.n_qubits != layout.n_sites:
         raise DimensionMismatchError("state does not match the layout")
+    return _zero_photon_readout(state, sites)[1]
+
+
+def _zero_photon_readout(state: StateVector,
+                         sites) -> tuple[StateVector, ReadoutRecord]:
+    """Normalized zero-photon block of ``state`` and its readout."""
     qubit_block = state.blocks()[0]
     nrm = np.linalg.norm(qubit_block)
     if nrm < 1e-12:
@@ -441,7 +437,8 @@ def interferometry_run(layout: HoneycombLayout, state: StateVector,
     coherence = complex(np.vdot(blocks[0], blocks[1]))
     n = len(set(sites))
     inferred = 2.0 * coherence * (1j ** n)   # divide out the (-i)**N phase
-    return ReadoutRecord(coherence.real, coherence.imag, inferred.real)
+    return qubits, ReadoutRecord(coherence.real, coherence.imag,
+                                 inferred.real)
 
 
 # -- ancilla swap -------------------------------------------------------

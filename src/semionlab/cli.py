@@ -19,12 +19,11 @@ import numpy as np
 
 from . import __version__
 from .anyons import (
-    ControlledString,
     QndParams,
     StringSpec,
+    _zero_photon_readout,
     braid_phase,
     braid_phase_on_state,
-    cavity_superposition,
     qnd_closed_form_deviation,
     vortex_map,
 )
@@ -44,9 +43,8 @@ from .hamiltonian import (
     spectrum,
 )
 from .lattice import build_layout
-from .pauli import PauliString
+from .pauli import PauliString, _site_mask
 from .states import (
-    StateVector,
     energy_moments,
     expectation,
     project_ground,
@@ -161,7 +159,10 @@ def run_spectrum(cfg: dict, args) -> tuple[dict, bool]:
     rng = np.random.default_rng(args.seed)
     trials = []
     if "random_trials" in cfg:
-        for _ in range(int(cfg["random_trials"])):
+        n_trials = cfg["random_trials"]
+        if n_trials < 1:
+            raise ConfigError(f"random_trials must be >= 1, got {n_trials}")
+        for _ in range(n_trials):
             trials.append(tuple(float(x) for x in rng.uniform(0.2, 2.0, 3)))
     else:
         trials.append((float(cfg.get("j_up", 1.0)),
@@ -171,7 +172,7 @@ def run_spectrum(cfg: dict, args) -> tuple[dict, bool]:
     ok = True
     for j_up, j_down, u in trials:
         ham = build_spin_hamiltonian(layout, j_up, j_down, u)
-        eig = spectrum(ham, dense_limit=args.dense_limit)
+        eig = spectrum(ham)
         oracle = DiagonalOracle(layout, j_up, j_down, u).sorted_spectrum()
         dev = float(np.max(np.abs(eig - oracle)))
         results.append({
@@ -192,7 +193,7 @@ def run_ground(cfg: dict, args) -> tuple[dict, bool]:
     state = project_ground(layout)
     ham = build_spin_hamiltonian(layout, j_up, j_down, u)
     energy, variance = energy_moments(state, ham)
-    eig = spectrum(ham, dense_limit=args.dense_limit)
+    eig = spectrum(ham)
     vmap = vortex_map(state, layout)
     oracle = DiagonalOracle(layout, j_up, j_down, u)
     ed_deg = int(np.count_nonzero(eig <= eig[0] + 1e-8))
@@ -256,20 +257,11 @@ def run_qnd(cfg: dict, args) -> tuple[dict, bool]:
     deviation = qnd_closed_form_deviation(params, n_qubits, cavity)
     rng = np.random.default_rng(args.seed)
     state = random_state(n_qubits, cavity_dim=cavity, rng=rng)
-    block = state.blocks()[0]
-    block = block / np.linalg.norm(block)
-    qubits = StateVector(n_qubits, 1, block)
-    s = 1 / np.sqrt(2)
-    evolved = ControlledString(s, s, tuple(sites)).apply(
-        cavity_superposition(qubits, s, s))
-    coherence = complex(np.vdot(evolved.blocks()[0], evolved.blocks()[1]))
-    inferred = (2 * coherence * 1j ** len(set(sites))).real
-    mask = 0
-    for site in sites:
-        mask |= 1 << site
-    direct = expectation(qubits, PauliString(n_qubits, 0, mask, 0)).real
+    qubits, readout = _zero_photon_readout(state, sites)
+    direct = expectation(
+        qubits, PauliString(n_qubits, 0, _site_mask(sites, n_qubits), 0)).real
     ok = params.is_canonical and deviation < tol and \
-        abs(inferred - direct) < tol
+        abs(readout.inferred_eigenvalue - direct) < tol
     return {
         "n_selected": params.n,
         "chi": chi,
@@ -277,8 +269,8 @@ def run_qnd(cfg: dict, args) -> tuple[dict, bool]:
         "canonical_time": params.is_canonical,
         "closed_form_deviation": deviation,
         "interferometry": {
-            "coherence": [coherence.real, coherence.imag],
-            "inferred_eigenvalue": inferred,
+            "coherence": [readout.coherence_real, readout.coherence_imag],
+            "inferred_eigenvalue": readout.inferred_eigenvalue,
             "direct_expectation": direct,
         },
         "pass": ok,
@@ -353,8 +345,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--dense-limit", type=int, default=14,
-                       dest="dense_limit")
         p.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 

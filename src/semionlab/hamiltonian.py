@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .errors import CapacityError, ConvergenceError
+from .errors import ConvergenceError, _require_capacity
 from .lattice import HoneycombLayout
 from .operators import (
     CHAIN_A,
@@ -42,7 +42,7 @@ from .operators import (
     n_device_qubits,
     plaquette_op,
 )
-from .pauli import DENSE_LIMIT, PauliString, apply_to_amplitudes, commutes
+from .pauli import PauliString, apply_to_amplitudes, commutes
 
 __all__ = [
     "HamiltonianTerms",
@@ -180,9 +180,7 @@ class DiagonalOracle:
 
     def enumerate_energies(self) -> np.ndarray:
         """All ``2**(2N)`` energies, vectorized, unsorted."""
-        if self.n > 12:
-            raise CapacityError(
-                f"enumeration over 2**{2 * self.n} configurations refused")
+        _require_capacity(4 ** self.n, f"oracle over {self.n} sites")
         dim = 1 << self.n
         configs = np.arange(dim, dtype=np.uint64)
         signs = np.where(
@@ -227,13 +225,6 @@ def predicted_ground_degeneracy(layout: HoneycombLayout, j_up: float,
                          "coupling; no chain-counting prediction applies")
     chains = len(layout.chains())
     return (4 if u == 0 else 2) ** chains
-
-
-def _check_dense(ham: HamiltonianTerms, dense_limit: int) -> None:
-    if ham.n_sites > dense_limit:
-        raise CapacityError(
-            f"dense Hamiltonian on {ham.n_sites} sites exceeds limit "
-            f"{dense_limit}")
 
 
 def _assemble(ham: HamiltonianTerms, states: np.ndarray) -> np.ndarray:
@@ -290,15 +281,15 @@ def _z_sectors(ham: HamiltonianTerms) -> list[np.ndarray]:
     return np.split(idx[order], cuts)
 
 
-def dense_matrix(ham: HamiltonianTerms,
-                 dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+def dense_matrix(ham: HamiltonianTerms) -> np.ndarray:
     """Dense matrix of a term list; real symmetric when possible."""
-    _check_dense(ham, dense_limit)
+    _require_capacity(4 ** ham.n_sites,
+                      f"dense Hamiltonian on {ham.n_sites} sites")
     return _assemble(ham, np.arange(1 << ham.n_sites, dtype=np.uint64))
 
 
 def spectrum(ham: HamiltonianTerms, k: int | None = None,
-             dense_limit: int = DENSE_LIMIT, tol: float = 1e-8) -> np.ndarray:
+             tol: float = 1e-8) -> np.ndarray:
     """Eigenvalues, ascending.
 
     ``k = None`` returns the full spectrum, every eigenvalue with its
@@ -307,8 +298,9 @@ def spectrum(ham: HamiltonianTerms, k: int | None = None,
     with every term, each sector block is assembled from the term
     entries and solved densely, and the block spectra are merged.  A
     term list without such terms is a single block, the plain dense
-    solve.  ``dense_limit`` still bounds the register size of this path
-    (``CapacityError`` above it), as it bounds :func:`dense_matrix`.
+    solve.  All blocks are held at once, so their entries must fit the
+    budget ``errors.DENSE_ELEMENTS``: 2x4 (256 blocks of 256) fits
+    exactly, 3x3 (512 blocks of 512) raises ``CapacityError``.
 
     An integer ``k`` uses a matrix-free Lanczos solve for the ``k``
     smallest eigenvalues, converged to ``tol``.  Every value the
@@ -317,14 +309,17 @@ def spectrum(ham: HamiltonianTerms, k: int | None = None,
     highly degenerate levels these commuting Hamiltonians carry; use the
     full path when the multiset matters.
     """
+    n = ham.n_sites
+    dim = _require_capacity(1 << n, f"basis of {n} sites")
     if k is None:
-        _check_dense(ham, dense_limit)
+        sectors = _z_sectors(ham)
+        _require_capacity(sum(states.size ** 2 for states in sectors),
+                          f"sector blocks on {n} sites")
         # every block is assembled, and so checked closed under every
         # term, before any is solved
-        blocks = [_assemble(ham, states) for states in _z_sectors(ham)]
+        blocks = [_assemble(ham, states) for states in sectors]
         return np.sort(np.concatenate(
             [scipy.linalg.eigvalsh(block) for block in blocks]))
-    dim = 1 << ham.n_sites
     if k >= dim - 1:
         raise ValueError(f"iterative path needs k < {dim - 1}")
 

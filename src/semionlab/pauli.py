@@ -15,8 +15,9 @@ Conventions shared by every module in this package:
   therefore the all-bits-zero state.
 * Masks are plain Python integers, so any site count works (64 sites fit
   one machine word on CPython; beyond that the same code path keeps
-  functioning with big integers).  Dense matrices are refused above
-  ``DENSE_LIMIT`` sites.
+  functioning with big integers).  A dense matrix has ``4**n_sites``
+  entries, so the budget ``errors.DENSE_ELEMENTS`` refuses it above 12
+  sites; the matrix-free :func:`apply_to_amplitudes` has no such limit.
 
 PauliString values are immutable after construction and every operation
 here is a pure function, so concurrent read-only use needs no locking.
@@ -28,9 +29,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, RepresentationError
-
-DENSE_LIMIT = 14
+from .errors import (
+    DimensionMismatchError,
+    RepresentationError,
+    _require_capacity,
+)
 
 _PHASE_LABEL = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _LABEL_PHASE = {v: k for k, v in _PHASE_LABEL.items()}
@@ -183,21 +186,27 @@ class PauliString:
             z |= ((self.z_mask >> old) & 1) << new
         return PauliString(len(sites), x, z, self.phase_exp, self.rep)
 
-    def to_matrix(self, dense_limit: int = DENSE_LIMIT) -> np.ndarray:
+    def to_matrix(self) -> np.ndarray:
         """Exact dense matrix including the global phase.
 
         Site 0 is the least significant bit of the basis index, so the
         tensor product is assembled with site ``n_sites - 1`` outermost.
         """
-        if self.n_sites > dense_limit:
-            raise CapacityError(
-                f"dense matrix for {self.n_sites} sites exceeds limit "
-                f"{dense_limit}")
+        _require_capacity(4 ** self.n_sites,
+                          f"dense matrix on {self.n_sites} sites")
         mat = np.array([[1.0 + 0j]])
         for j in range(self.n_sites - 1, -1, -1):
             mat = np.kron(mat, _SITE_MATS[(self.x_mask >> j & 1,
                                            self.z_mask >> j & 1)])
         return (1j ** self.phase_exp) * mat
+
+
+def _site_mask(sites, n_sites: int) -> int:
+    """Bitmask of ``sites``, each checked to lie in the register."""
+    for s in sites:
+        if not 0 <= s < n_sites:
+            raise DimensionMismatchError(f"site {s} outside register")
+    return sum(1 << s for s in set(sites))
 
 
 def _y_count(p: PauliString) -> int:

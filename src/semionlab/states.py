@@ -12,15 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, ZeroProjectionError
+from .errors import (
+    DimensionMismatchError,
+    ZeroProjectionError,
+    _require_capacity,
+)
 from .hamiltonian import HamiltonianTerms
 from .lattice import HoneycombLayout
 from .operators import DOWN, UP, plaquette_op
 from .pauli import PauliString, apply_to_amplitudes
-
-# Largest dense amplitude array a StateVector will hold.  Raise it for
-# bigger sweeps; every acceptance lattice fits comfortably below it.
-DENSE_STATE_LIMIT = 1 << 24
 
 __all__ = [
     "StateVector",
@@ -36,18 +36,11 @@ __all__ = [
 
 
 def _amplitude_count(n_qubits: int, cavity_dim: int) -> int:
-    """Amplitudes of a cavity (x) qubit register, checked against the limit.
-
-    Runs before any amplitude array is allocated.
-    """
+    """Amplitudes of a cavity (x) qubit register, checked before allocation."""
     if cavity_dim < 1:
         raise DimensionMismatchError("cavity_dim must be >= 1")
-    count = cavity_dim * (1 << n_qubits)
-    if count > DENSE_STATE_LIMIT:
-        raise CapacityError(
-            f"{count} amplitudes exceed the dense-state limit "
-            f"{DENSE_STATE_LIMIT}")
-    return count
+    return _require_capacity(cavity_dim * (1 << n_qubits),
+                             f"state over {cavity_dim} x 2**{n_qubits}")
 
 
 @dataclass(frozen=True)

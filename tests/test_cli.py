@@ -74,6 +74,15 @@ class TestSpectrum:
         code, _, err = run(["spectrum", "--config", cfg], capsys)
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_no_random_trials_rejected(self, tmp_path, capsys, trials):
+        # zero trials would pass vacuously
+        cfg = write_config(tmp_path, "spec.json",
+                           {"rows": 2, "cols": 3, "random_trials": trials})
+        code, out, err = run(["spectrum", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: random_trials") and err.count("\n") == 1
+
     def test_random_trials_deterministic_under_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "spec.json",
                            {"rows": 1, "cols": 2, "random_trials": 2})
@@ -151,6 +160,14 @@ class TestQnd:
         report = json.loads(out)
         assert report["canonical_time"] is False
         assert report["closed_form_deviation"] > 0.1
+
+
+    def test_site_outside_register_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "q.json",
+                           {"n_qubits": 4, "sites": [-1, 2]})
+        code, out, err = run(["qnd", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: site -1 outside register\n"
 
 
 class TestCircuit:

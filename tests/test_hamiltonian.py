@@ -62,7 +62,7 @@ class TestFermionOracle:
         j_up, j_down, u = 0.8, 1.1, 0.5
         oracle = DiagonalOracle(layout, j_up, j_down, u)
         ham = build_device_hamiltonian(layout, j_up, j_down, u)
-        mat = dense_matrix(ham, dense_limit=16)
+        mat = dense_matrix(ham)
         assert np.allclose(mat, np.diag(np.diag(mat)))
         diag = np.diag(mat)
         n = layout.square.n_sites
@@ -158,6 +158,14 @@ class TestMappingEquivalence:
         ham = build_spin_hamiltonian(layout, 1, 1, 1)
         with pytest.raises(CapacityError):
             spectrum(ham)
+
+    def test_sector_spectrum_at_2x4_matches_oracle(self):
+        # 256 blocks of 256: exactly the dense budget in block entries
+        layout = build_layout(2, 4)
+        j_up, j_down, u = 0.9, 1.6, 0.7
+        eig = spectrum(build_spin_hamiltonian(layout, j_up, j_down, u))
+        orc = DiagonalOracle(layout, j_up, j_down, u).sorted_spectrum()
+        assert np.max(np.abs(eig - orc)) < 1e-10
 
 
 def _terms(n: int, *pairs) -> HamiltonianTerms:
