@@ -166,11 +166,6 @@ class PauliString:
         return PauliString(self.n_sites, self.x_mask, self.z_mask,
                            self.phase_exp + k, self.rep)
 
-    def adjoint(self) -> "PauliString":
-        flips = int.bit_count(self.x_mask & self.z_mask)
-        return PauliString(self.n_sites, self.x_mask, self.z_mask,
-                           -self.phase_exp + 2 * flips, self.rep)
-
     def is_hermitian(self) -> bool:
         """True iff the tracked phase makes the operator self-adjoint."""
         return self.phase_exp % 2 == int.bit_count(self.x_mask & self.z_mask) % 2

@@ -187,15 +187,58 @@ class TestQndGate:
         dev = qnd_closed_form_deviation(params, 2)
         assert dev > 0.5
 
-    def test_spectral_norm_falls_back_to_svd_off_diagonal(self):
-        from semionlab.anyons import _spectral_norm
-        rng = np.random.default_rng(5)
-        diag = np.diag(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        assert _spectral_norm(diag) == np.max(np.abs(np.diagonal(diag)))
-        full = diag.copy()
-        full[1, 4] = 0.75
-        assert _spectral_norm(full) == np.linalg.norm(full, 2)
-        assert _spectral_norm(full) > np.max(np.abs(np.diagonal(full)))
+    def test_every_photon_sector_is_a_power_of_the_one_photon_gate(self):
+        n = 4
+        for sites in ((0, 2, 3), (1, 3)):
+            params = QndParams.canonical(0.7, sites)
+            u1 = qnd_unitary(params, 1, n).to_matrix()
+            for k in range(4):
+                assert np.array_equal(qnd_unitary(params, k, n).to_matrix(),
+                                      np.linalg.matrix_power(u1, k))
+
+    def test_negative_photon_number_rejected(self):
+        with pytest.raises(ValueError):
+            qnd_unitary(QndParams.canonical(1.0, (0,)), -1, 2)
+
+    @pytest.mark.parametrize("canonical", (True, False))
+    def test_deviation_equals_dense_expm_reference(self, canonical):
+        # dense exponential and per-block 2-norms, independent of the module
+        chi, cavity_dim = 0.8, 3
+        for n, sites in ((2, (0, 1)), (4, (1, 2, 3)), (6, (0, 3, 5))):
+            tau = math.pi / (2 * chi) if canonical else 0.7
+            params = QndParams(chi, tau, sites)
+            dim = 1 << n
+            z = np.diag([1.0, -1.0])
+            zsum = np.zeros((dim, dim))
+            for j in sites:
+                op = np.ones((1, 1))
+                for k in range(n - 1, -1, -1):
+                    op = np.kron(op, z if k == j else np.eye(2))
+                zsum += op
+            h = np.kron(np.diag(np.arange(cavity_dim, dtype=float)),
+                        chi * zsum)
+            u_exact = scipy.linalg.expm(-1j * tau * h)
+            u1 = qnd_unitary(QndParams.canonical(chi, sites), 1,
+                             n).to_matrix()
+            want = max(
+                np.linalg.norm(u_exact[k * dim:(k + 1) * dim,
+                                       k * dim:(k + 1) * dim]
+                               - np.linalg.matrix_power(u1, k), 2)
+                for k in range(cavity_dim))
+            got = qnd_closed_form_deviation(params, n, cavity_dim)
+            assert abs(got - want) < 1e-12
+            assert (want < 1e-12) == canonical
+
+    @pytest.mark.parametrize("cavity_dim", (0, -1))
+    def test_empty_cavity_rejected(self, cavity_dim):
+        params = QndParams.canonical(1.0, (0, 1))
+        with pytest.raises(ValueError, match="cavity_dim must be >= 1"):
+            qnd_closed_form_deviation(params, 2, cavity_dim)
+
+    def test_deviation_fits_past_the_old_square_budget(self):
+        # 3 * 2**11 states; the dense check needed (3 * 2**11)**2 entries
+        params = QndParams.canonical(1.0, (0, 5))
+        assert qnd_closed_form_deviation(params, 11, 3) < 1e-12
 
     def test_independent_matrix_oracle(self):
         # full-space exponential built from scratch, not via the module

@@ -33,9 +33,9 @@ CASES = {
     "dense_matrix_13_qubits": (partial(dense_matrix, _one_z_term(13)), True),
     "oracle_1x13": (DiagonalOracle(build_layout(1, 13), 1.0, 1.0, 1.0)
                     .enumerate_energies, True),
-    "qnd_deviation_n11_cavity3": (
+    "qnd_deviation_n23_cavity3": (
         partial(qnd_closed_form_deviation, QndParams.canonical(1.0, (0, 5)),
-                11, 3), True),
+                23, 3), True),
     "basis_state_25": (partial(basis_state, 25), True),
     "spectrum_3x3": (
         partial(spectrum, build_spin_hamiltonian(build_layout(3, 3),
