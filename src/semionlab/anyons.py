@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, _require_capacity
 from .lattice import HoneycombLayout
-from .operators import DOWN, REP_HONEYCOMB, UP, plaquette_op, x_string_op
+from .operators import REP_HONEYCOMB, x_string_op
 from .pauli import (
     PauliString,
     _site_mask,
@@ -121,22 +121,16 @@ class VortexMap:
 
 def vortex_map(state: StateVector, layout: HoneycombLayout) -> VortexMap:
     """Expectations of every plaquette operator pair on a dense state."""
-    vals = []
-    for plq in layout.bond_plaquettes:
-        w = expectation(state, plaquette_op(layout, plq, UP)).real
-        wt = expectation(state, plaquette_op(layout, plq, DOWN)).real
-        vals.append((w, wt))
-    return VortexMap(tuple(vals))
+    return VortexMap(tuple(
+        (expectation(state, plq.up).real, expectation(state, plq.down).real)
+        for plq in layout.bond_plaquettes))
 
 
 def predicted_flips(layout: HoneycombLayout, op: PauliString) -> dict:
     """Plaquettes whose stabilizer anticommutes with ``op``, per family."""
-    out = {"up": [], "down": []}
-    for plq in layout.bond_plaquettes:
-        for family in (UP, DOWN):
-            if not commutes(op, plaquette_op(layout, plq, family)):
-                out["up" if family == UP else "down"].append(plq.index)
-    return {k: tuple(v) for k, v in out.items()}
+    plqs = layout.bond_plaquettes
+    return {"up": tuple(p.index for p in plqs if not commutes(op, p.up)),
+            "down": tuple(p.index for p in plqs if not commutes(op, p.down))}
 
 
 # -- braiding ----------------------------------------------------------
@@ -446,7 +440,7 @@ def jc_swap(state: StateVector, omega: float, t: float,
     blocks = state.blocks().copy()
     dim = state.qubit_dim
     bit = 1 << qubit
-    excited = np.array([b for b in range(dim) if b & bit], dtype=np.int64)
+    excited = np.flatnonzero(np.arange(dim) & bit)
     ground = excited ^ bit
     for n in range(state.cavity_dim - 1):
         theta = omega * math.sqrt(n + 1) * t

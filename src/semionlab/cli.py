@@ -195,7 +195,8 @@ def run_ground(cfg: dict, args) -> tuple[dict, bool]:
     energy, variance = energy_moments(state, ham)
     eig = spectrum(ham)
     vmap = vortex_map(state, layout)
-    oracle = DiagonalOracle(layout, j_up, j_down, u)
+    oracle_deg = DiagonalOracle(layout, j_up, j_down, u).ground_degeneracy()
+    predicted = predicted_ground_degeneracy(layout, j_up, j_down, u)
     ed_deg = int(np.count_nonzero(eig <= eig[0] + 1e-8))
     checks = {
         "all_plaquettes_plus_one": all(
@@ -203,9 +204,7 @@ def run_ground(cfg: dict, args) -> tuple[dict, bool]:
             for w, wt in vmap.values),
         "energy_is_minimum": abs(energy - float(eig[0])) < 1e-10,
         "variance_small": variance < 1e-10,
-        "degeneracy_match": (oracle.ground_degeneracy() == ed_deg ==
-                             predicted_ground_degeneracy(layout, j_up,
-                                                         j_down, u)),
+        "degeneracy_match": oracle_deg == ed_deg == predicted,
     }
     ok = all(checks.values())
     return {
@@ -214,9 +213,9 @@ def run_ground(cfg: dict, args) -> tuple[dict, bool]:
         "energy_variance": variance,
         "vortex_map": [list(v) for v in vmap.values],
         "degeneracy": {
-            "oracle": oracle.ground_degeneracy(),
+            "oracle": oracle_deg,
             "exact_diagonalization": ed_deg,
-            "predicted": predicted_ground_degeneracy(layout, j_up, j_down, u),
+            "predicted": predicted,
         },
         "checks": checks,
     }, ok

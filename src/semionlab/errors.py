@@ -30,10 +30,6 @@ def _require_capacity(count: int, what: str) -> int:
     return count
 
 
-class ConvergenceError(SemionLabError):
-    """An iterative eigensolve did not converge to tolerance."""
-
-
 class ZeroProjectionError(SemionLabError):
     """A stabilizer projection annihilated the state completely."""
 

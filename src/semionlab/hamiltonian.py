@@ -26,21 +26,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
-from .errors import ConvergenceError, _require_capacity
+from .errors import _require_capacity
 from .lattice import HoneycombLayout
 from .operators import (
     CHAIN_A,
     CHAIN_B,
-    DOWN,
     REP_DEVICE,
     REP_HONEYCOMB,
-    UP,
     device_qubit,
     link_zz_op,
     n_device_qubits,
-    plaquette_op,
 )
 from .pauli import PauliString, apply_to_amplitudes, commutes
 
@@ -104,19 +100,17 @@ def build_spin_hamiltonian(layout: HoneycombLayout, j_up: float,
                            j_down: float, u: float) -> HamiltonianTerms:
     """Spin image of the fermion model on a honeycomb layout.
 
-    One plaquette term per diagonal bond and family plus one link ZZ per
-    square site.  Boundary bonds contribute their truncated plaquette
-    operators; dropping them would break the exact spectrum equivalence
-    with the fermion oracle, which is the property this builder is held
-    to.
+    One plaquette term per diagonal bond and family, the layout's own
+    stabilizers, plus one link ZZ per square site.  Boundary bonds
+    contribute their truncated plaquette operators; dropping them would
+    break the exact spectrum equivalence with the fermion oracle, which
+    is the property this builder is held to.
     """
-    terms: list[tuple[float, PauliString]] = []
-    for plq in layout.bond_plaquettes:
-        terms.append((-j_up, plaquette_op(layout, plq, UP)))
-    for plq in layout.bond_plaquettes:
-        terms.append((-j_down, plaquette_op(layout, plq, DOWN)))
-    for site in range(layout.square.n_sites):
-        terms.append((-u, link_zz_op(layout, site)))
+    plqs = layout.bond_plaquettes
+    terms = ([(-j_up, plq.up) for plq in plqs]
+             + [(-j_down, plq.down) for plq in plqs]
+             + [(-u, link_zz_op(layout, site))
+                for site in range(layout.square.n_sites)])
     return HamiltonianTerms(REP_HONEYCOMB, layout.n_sites, tuple(terms),
                             {"j_up": j_up, "j_down": j_down, "u": u})
 
@@ -288,12 +282,11 @@ def dense_matrix(ham: HamiltonianTerms) -> np.ndarray:
     return _assemble(ham, np.arange(1 << ham.n_sites, dtype=np.uint64))
 
 
-def spectrum(ham: HamiltonianTerms, k: int | None = None,
-             tol: float = 1e-8) -> np.ndarray:
+def spectrum(ham: HamiltonianTerms) -> np.ndarray:
     """Eigenvalues, ascending.
 
-    ``k = None`` returns the full spectrum, every eigenvalue with its
-    exact multiplicity, by sector-resolved exact diagonalization: the
+    Returns the full spectrum, every eigenvalue with its exact
+    multiplicity, by sector-resolved exact diagonalization: the
     basis is split by the joint signs of the Z-only terms that commute
     with every term, each sector block is assembled from the term
     entries and solved densely, and the block spectra are merged.  A
@@ -301,40 +294,14 @@ def spectrum(ham: HamiltonianTerms, k: int | None = None,
     solve.  All blocks are held at once, so their entries must fit the
     budget ``errors.DENSE_ELEMENTS``: 2x4 (256 blocks of 256) fits
     exactly, 3x3 (512 blocks of 512) raises ``CapacityError``.
-
-    An integer ``k`` uses a matrix-free Lanczos solve for the ``k``
-    smallest eigenvalues, converged to ``tol``.  Every value the
-    iterative path returns is a true eigenvalue and the smallest one is
-    reliable, but Krylov iteration cannot certify multiplicities of the
-    highly degenerate levels these commuting Hamiltonians carry; use the
-    full path when the multiset matters.
     """
     n = ham.n_sites
-    dim = _require_capacity(1 << n, f"basis of {n} sites")
-    if k is None:
-        sectors = _z_sectors(ham)
-        _require_capacity(sum(states.size ** 2 for states in sectors),
-                          f"sector blocks on {n} sites")
-        # every block is assembled, and so checked closed under every
-        # term, before any is solved
-        blocks = [_assemble(ham, states) for states in sectors]
-        return np.sort(np.concatenate(
-            [scipy.linalg.eigvalsh(block) for block in blocks]))
-    if k >= dim - 1:
-        raise ValueError(f"iterative path needs k < {dim - 1}")
-
-    def matvec(v):
-        return ham.apply(v.astype(complex))
-
-    linop = scipy.sparse.linalg.LinearOperator((dim, dim), matvec=matvec,
-                                               dtype=complex)
-    # a symmetric start vector would stay inside one symmetry sector and
-    # miss degenerate partners; a fixed-seed random start keeps the
-    # result deterministic without that blind spot
-    v0 = np.random.default_rng(1234).standard_normal(dim)
-    try:
-        vals = scipy.sparse.linalg.eigsh(linop, k=k, which="SA", tol=tol,
-                                         v0=v0, return_eigenvectors=False)
-    except scipy.sparse.linalg.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"Lanczos did not converge: {exc}") from exc
-    return np.sort(vals.real)
+    _require_capacity(1 << n, f"basis of {n} sites")
+    sectors = _z_sectors(ham)
+    _require_capacity(sum(states.size ** 2 for states in sectors),
+                      f"sector blocks on {n} sites")
+    # every block is assembled, and so checked closed under every term,
+    # before any is solved
+    blocks = [_assemble(ham, states) for states in sectors]
+    return np.sort(np.concatenate(
+        [scipy.linalg.eigvalsh(block) for block in blocks]))

@@ -21,6 +21,8 @@ Frozen coordinate conventions (see also ``docs/conventions.md``):
   white).  On the outermost rows the top or bottom vertex does not
   exist and the plaquette truncates to five (or, for a single row, four)
   sites; ``complete_plaquettes`` filters those away.
+* Each plaquette carries its up and down stabilizers, built once with
+  the layout from ``_PLAQ_LETTERS``; every consumer reads them there.
 
 Only open boundary conditions are supported; asking for periodic ones is
 rejected explicitly.  Layouts are immutable after construction and all
@@ -29,7 +31,9 @@ queries are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+from .pauli import PauliString
 
 __all__ = [
     "HoneycombSite",
@@ -41,6 +45,15 @@ __all__ = [
 
 BLACK = "black"
 WHITE = "white"
+
+REP_HONEYCOMB = "honeycomb_spin"
+
+UP = "up"      # psi species, realized by device chain a
+DOWN = "down"  # chi species, realized by device chain b
+
+# Plaquette label order 1..6; the two families differ by swapping X and Y
+# heads on the four link sites, labels 3 and 6 carry Z in both.
+_PLAQ_LETTERS = {UP: "YXZYXZ", DOWN: "XYZXYZ"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,7 +76,9 @@ class BondPlaquette:
     ``labels`` holds honeycomb ranks in label order 1..6; the top (label
     3) and bottom (label 6) entries are ``None`` where the neighbouring
     row does not exist.  ``site_i``/``site_j`` are the two square sites
-    of the bond (left, right).
+    of the bond (left, right).  ``up`` and ``down`` are the plaquette's
+    stabilizers on the honeycomb register, one per family; each is
+    Hermitian and squares to the identity with phase zero.
     """
 
     index: int
@@ -72,6 +87,8 @@ class BondPlaquette:
     row: int
     col: int
     labels: tuple[int | None, ...]
+    up: PauliString = field(repr=False)
+    down: PauliString = field(repr=False)
 
     @property
     def sites(self) -> tuple[int, ...]:
@@ -126,6 +143,15 @@ def _x_offset(row: int) -> float:
     return 0.5 if row % 2 else 0.0
 
 
+def _stabilizer(n_sites: int, labels: tuple[int | None, ...],
+                family: str) -> PauliString:
+    """One family's letters over the plaquette labels that exist."""
+    letters = {rank: letter
+               for rank, letter in zip(labels, _PLAQ_LETTERS[family])
+               if rank is not None}
+    return PauliString.from_letters(n_sites, letters, REP_HONEYCOMB)
+
+
 class HoneycombLayout:
     """Honeycomb image of a square lattice, with the zigzag JW order."""
 
@@ -164,8 +190,10 @@ class HoneycombLayout:
                 self._rank[(j, BLACK)],
                 bottom,
             )
-            self.bond_plaquettes.append(
-                BondPlaquette(idx, i, j, row, col, labels))
+            self.bond_plaquettes.append(BondPlaquette(
+                idx, i, j, row, col, labels,
+                _stabilizer(self.n_sites, labels, UP),
+                _stabilizer(self.n_sites, labels, DOWN)))
 
     # -- queries -----------------------------------------------------
 

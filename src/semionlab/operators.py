@@ -1,5 +1,8 @@
 """Operator factory: Majoranas, plaquette stabilizers, and site operations.
 
+Plaquette stabilizers are built once per layout in :mod:`semionlab.lattice`,
+which also owns ``UP``, ``DOWN`` and ``REP_HONEYCOMB`` (re-exported here).
+
 Two representations are produced, tagged on every operator:
 
 * ``honeycomb_spin`` acts on the ``2N`` honeycomb sites, indexed by
@@ -22,14 +25,18 @@ would flip the sign on white sites; a unit test records that fact).
 
 from __future__ import annotations
 
-from .lattice import BLACK, WHITE, BondPlaquette, HoneycombLayout
+from .lattice import (
+    BLACK,
+    DOWN,
+    REP_HONEYCOMB,
+    UP,
+    WHITE,
+    BondPlaquette,
+    HoneycombLayout,
+)
 from .pauli import PauliString, multiply, multiply_all
 
-REP_HONEYCOMB = "honeycomb_spin"
 REP_DEVICE = "device"
-
-UP = "up"      # psi species, realized by device chain a
-DOWN = "down"  # chi species, realized by device chain b
 
 _HEADS = {
     (UP, WHITE): "Y",
@@ -37,10 +44,6 @@ _HEADS = {
     (DOWN, WHITE): "X",
     (DOWN, BLACK): "Y",
 }
-
-# Plaquette label order 1..6; the two families differ by swapping X and Y
-# heads on the four link sites, labels 3 and 6 carry Z in both.
-_PLAQ_LETTERS = {UP: "YXZYXZ", DOWN: "XYZXYZ"}
 
 
 def majorana_op(layout: HoneycombLayout, square_site: int, species: str,
@@ -92,15 +95,15 @@ def plaquette_op(layout: HoneycombLayout, plaquette: BondPlaquette,
                  family: str) -> PauliString:
     """Stabilizer of one bond plaquette, family ``"up"`` or ``"down"``.
 
-    Letters follow the label order 1..6; labels missing at the boundary
-    are skipped, which truncates the hexagon to the sites that exist.
-    The result is Hermitian and squares to the identity with phase zero.
+    A lookup of the operator the layout built with the plaquette (see
+    :class:`~semionlab.lattice.BondPlaquette`); letters follow the label
+    order 1..6 and labels missing at the boundary are skipped.
     """
-    letters = {}
-    for rank, letter in zip(plaquette.labels, _PLAQ_LETTERS[family]):
-        if rank is not None:
-            letters[rank] = letter
-    return PauliString.from_letters(layout.n_sites, letters, REP_HONEYCOMB)
+    if family == UP:
+        return plaquette.up
+    if family == DOWN:
+        return plaquette.down
+    raise ValueError(f"unknown plaquette family {family!r}")
 
 
 def bond_parity_op(layout: HoneycombLayout, square_i: int, square_j: int,

@@ -18,8 +18,7 @@ from .errors import (
     _require_capacity,
 )
 from .hamiltonian import HamiltonianTerms
-from .lattice import HoneycombLayout
-from .operators import DOWN, UP, plaquette_op
+from .lattice import DOWN, UP, HoneycombLayout
 from .pauli import PauliString, apply_to_amplitudes
 
 __all__ = [
@@ -151,19 +150,22 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
     bond plaquette to the reference state and normalizes.  The result is
     a +1 eigenstate of every plaquette operator and of every link ZZ. A
     projection that annihilates the state would signal an inconsistent
-    sign convention and raises instead of silently renormalizing.
+    sign convention and raises instead of silently renormalizing.  With
+    a cavity the ground state fills the zero-photon block and every
+    other block is zero, so only the qubit register is projected.
     """
-    state = reference_state(layout, cavity_dim)
-    amps = state.blocks()
+    size = _amplitude_count(layout.n_sites, cavity_dim)
+    amps = reference_state(layout).amplitudes
     for plq in layout.bond_plaquettes:
-        for family in (UP, DOWN):
-            op = plaquette_op(layout, plq, family)
+        for family, op in ((UP, plq.up), (DOWN, plq.down)):
             amps += apply_to_amplitudes(op, amps)
             if not np.any(amps):
                 raise ZeroProjectionError(
                     f"plaquette {plq.index} ({family}) annihilated the state")
-    out = StateVector(layout.n_sites, cavity_dim, amps.ravel())
-    return out.normalized().with_fixed_phase()
+    ground = StateVector(layout.n_sites, 1, amps).normalized()
+    out = np.zeros(size, dtype=complex)
+    out[:amps.size] = ground.with_fixed_phase().amplitudes
+    return StateVector(layout.n_sites, cavity_dim, out)
 
 
 def energy_moments(state: StateVector, ham: HamiltonianTerms) -> tuple[float, float]:

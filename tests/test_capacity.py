@@ -16,7 +16,7 @@ from semionlab.hamiltonian import (
 )
 from semionlab.lattice import build_layout
 from semionlab.pauli import PauliString
-from semionlab.states import basis_state
+from semionlab.states import basis_state, project_ground
 
 
 def _one_z_term(n: int) -> HamiltonianTerms:
@@ -40,7 +40,8 @@ CASES = {
     "spectrum_3x3": (
         partial(spectrum, build_spin_hamiltonian(build_layout(3, 3),
                                                  1.0, 1.0, 1.0)), False),
-    "lanczos_25_qubits": (partial(spectrum, _one_z_term(25), k=1), True),
+    "project_ground_3x4_cavity2": (
+        partial(project_ground, build_layout(3, 4), 2), True),
 }
 
 

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
+from semionlab.anyons import StringSpec, fuse_check, vortex_map
+from semionlab.hamiltonian import build_spin_hamiltonian
 from semionlab.lattice import BLACK, WHITE, build_layout
 from semionlab.operators import (
     DOWN,
@@ -21,6 +23,7 @@ from semionlab.operators import (
     z_op_from_majoranas,
 )
 from semionlab.pauli import PauliString, commutes, multiply
+from semionlab.states import project_ground
 
 
 def all_majoranas(layout):
@@ -115,6 +118,37 @@ class TestPlaquetteOps:
         assert [w.letter(r) for r in tup] == list("YXZYXZ")
         wt = plaquette_op(layout, plq, DOWN)
         assert [wt.letter(r) for r in tup] == list("XYZXYZ")
+
+    def test_lookup_of_the_layout_table(self):
+        layout = build_layout(2, 3)
+        for plq in layout.bond_plaquettes:
+            assert plaquette_op(layout, plq, UP) is plq.up
+            assert plaquette_op(layout, plq, DOWN) is plq.down
+        with pytest.raises(ValueError, match="family"):
+            plaquette_op(layout, layout.bond_plaquettes[0], "sideways")
+
+    def test_consumers_build_no_plaquette_operator(self, monkeypatch):
+        # the layout builds every stabilizer once; the Hamiltonian, the
+        # vortex map, the flip prediction and the projection read them
+        layout = build_layout(2, 3)
+        loop = StringSpec.z_string(layout, [0, 1, 3, 5])
+        crossing = StringSpec.x_string(layout, [1, 2])
+        state = project_ground(layout)
+        built = []
+        from_letters = PauliString.from_letters.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return from_letters(cls, *args, **kwargs)
+
+        monkeypatch.setattr(PauliString, "from_letters",
+                            classmethod(counting))
+        vortex_map(state, layout)
+        fuse_check(layout, loop, crossing)
+        project_ground(layout, 2)
+        assert built == []
+        build_spin_hamiltonian(layout, 1.0, 0.7, 0.3)
+        assert len(built) <= layout.square.n_sites  # the link ZZ terms
 
 
 class TestSiteZ:

@@ -85,6 +85,14 @@ class TestProjectGround:
         fidelity = abs(overlap(ground, again.normalized()))
         assert fidelity == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("cavity_dim", [2, 3])
+    def test_cavity_ground_fills_only_the_zero_photon_block(self, cavity_dim):
+        layout = build_layout(2, 3)
+        qubits = project_ground(layout).amplitudes
+        blocks = project_ground(layout, cavity_dim).blocks()
+        assert np.array_equal(blocks[0], qubits)
+        assert not np.any(blocks[1:])
+
     def test_contradictory_projection_raises(self):
         # projecting onto both signs of the same stabilizer must
         # annihilate the state and be reported, not silently normalized
