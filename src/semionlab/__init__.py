@@ -56,7 +56,6 @@ from .operators import (
     bond_parity_op,
     link_zz_op,
     majorana_op,
-    plaquette_op,
     x_string_device,
     x_string_op,
     z_op,

@@ -22,10 +22,9 @@ package-wide bit-to-eigenvalue map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import _require_capacity
 from .lattice import HoneycombLayout
@@ -38,7 +37,13 @@ from .operators import (
     link_zz_op,
     n_device_qubits,
 )
-from .pauli import PauliString, apply_to_amplitudes, commutes
+from .pauli import (
+    PauliString,
+    _z_signs,
+    apply_to_amplitudes,
+    commutes,
+    multiply_all,
+)
 
 __all__ = [
     "HamiltonianTerms",
@@ -58,7 +63,6 @@ class HamiltonianTerms:
     rep: str
     n_sites: int
     terms: tuple[tuple[float, PauliString], ...]
-    couplings: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         for coeff, op in self.terms:
@@ -111,8 +115,7 @@ def build_spin_hamiltonian(layout: HoneycombLayout, j_up: float,
              + [(-j_down, plq.down) for plq in plqs]
              + [(-u, link_zz_op(layout, site))
                 for site in range(layout.square.n_sites)])
-    return HamiltonianTerms(REP_HONEYCOMB, layout.n_sites, tuple(terms),
-                            {"j_up": j_up, "j_down": j_down, "u": u})
+    return HamiltonianTerms(REP_HONEYCOMB, layout.n_sites, tuple(terms))
 
 
 def build_device_hamiltonian(layout: HoneycombLayout, j_up: float,
@@ -136,8 +139,7 @@ def build_device_hamiltonian(layout: HoneycombLayout, j_up: float,
             n, {device_qubit(site, CHAIN_A): "Z",
                 device_qubit(site, CHAIN_B): "Z"}, REP_DEVICE)
         terms.append((u, op))
-    return HamiltonianTerms(REP_DEVICE, n, tuple(terms),
-                            {"j_up": j_up, "j_down": j_down, "u": u})
+    return HamiltonianTerms(REP_DEVICE, n, tuple(terms))
 
 
 class DiagonalOracle:
@@ -221,87 +223,71 @@ def predicted_ground_degeneracy(layout: HoneycombLayout, j_up: float,
     return (4 if u == 0 else 2) ** chains
 
 
-def _assemble(ham: HamiltonianTerms, states: np.ndarray) -> np.ndarray:
-    """Matrix of ``ham`` on the span of the ascending basis ``states``.
+def dense_matrix(ham: HamiltonianTerms) -> np.ndarray:
+    """Dense matrix of a term list; real symmetric when possible.
 
-    Entry ``[a, b]`` is ``<states[a]| H |states[b]>``.  Terms with an
-    even phase exponent have real entries, so a term list made of such
-    operators is assembled directly in float64.  Raises if a term maps
-    a basis state outside the span.
+    Entry ``[i ^ x_mask, i]`` of each term is its phase times
+    ``(-1)**popcount(i & z_mask)``.  Terms with an even phase exponent
+    have real entries, so a list made of such terms is assembled in
+    float64.  This is the reference the tests diagonalize.
     """
-    size = states.size
-    src = np.arange(size)
+    n = ham.n_sites
+    _require_capacity(4 ** n, f"dense Hamiltonian on {n} sites")
+    idx = np.arange(1 << n)
     all_real = all(op.phase_exp % 2 == 0 for _, op in ham.terms)
-    mat = np.zeros((size, size), dtype=np.float64 if all_real else complex)
+    mat = np.zeros((idx.size, idx.size),
+                   dtype=np.float64 if all_real else complex)
     for coeff, op in ham.terms:
         phase = 1j ** op.phase_exp
         if all_real:
             phase = phase.real
-        signs = np.bitwise_count(states & np.uint64(op.z_mask)).astype(np.int64)
-        vals = coeff * phase * np.where(signs % 2 == 0, 1.0, -1.0)
-        targets = states ^ np.uint64(op.x_mask)
-        dst = np.minimum(np.searchsorted(states, targets), size - 1)
-        if not np.array_equal(states[dst], targets):
-            raise AssertionError(f"term {op} leaves the assembled sector")
-        mat[dst, src] += vals
+        mat[idx ^ op.x_mask, idx] += coeff * phase * _z_signs(op.z_mask, n)
     return mat
 
 
-def _z_sectors(ham: HamiltonianTerms) -> list[np.ndarray]:
-    """Basis indices of each joint sign sector of the conserved Z terms.
-
-    A Z-only term that commutes with every term is diagonal and
-    conserved, so its parity labels a block of the Hamiltonian.  The
-    masks are reduced to a GF(2)-independent set first, so there are at
-    most ``n_sites`` label bits.  A term list with no such term is one
-    sector holding the whole basis.
-    """
-    ops = [op for _, op in ham.terms]
-    masks: list[int] = []
-    for op in ops:
-        if op.x_mask == 0 and op.z_mask and all(commutes(op, q) for q in ops):
-            m = op.z_mask
-            for b in masks:
-                m = min(m, m ^ b)
-            if m:
-                masks.append(m)
-    idx = np.arange(1 << ham.n_sites, dtype=np.uint64)
-    labels = np.zeros(idx.size, dtype=np.int64)
-    for bit, m in enumerate(masks):
-        parity = np.bitwise_count(idx & np.uint64(m)).astype(np.int64) & 1
-        labels |= parity << bit
-    order = np.argsort(labels, kind="stable")
-    cuts = np.flatnonzero(np.diff(labels[order])) + 1
-    return np.split(idx[order], cuts)
-
-
-def dense_matrix(ham: HamiltonianTerms) -> np.ndarray:
-    """Dense matrix of a term list; real symmetric when possible."""
-    _require_capacity(4 ** ham.n_sites,
-                      f"dense Hamiltonian on {ham.n_sites} sites")
-    return _assemble(ham, np.arange(1 << ham.n_sites, dtype=np.uint64))
-
-
 def spectrum(ham: HamiltonianTerms) -> np.ndarray:
-    """Eigenvalues, ascending.
+    """Eigenvalues of a commuting term list, ascending, from its tableau.
 
-    Returns the full spectrum, every eigenvalue with its exact
-    multiplicity, by sector-resolved exact diagonalization: the
-    basis is split by the joint signs of the Z-only terms that commute
-    with every term, each sector block is assembled from the term
-    entries and solved densely, and the block spectra are merged.  A
-    term list without such terms is a single block, the plain dense
-    solve.  All blocks are held at once, so their entries must fit the
-    budget ``errors.DENSE_ELEMENTS``: 2x4 (256 blocks of 256) fits
-    exactly, 3x3 (512 blocks of 512) raises ``CapacityError``.
+    The terms' symplectic vectors ``x_mask << n | z_mask`` are reduced
+    over GF(2) in term order; the ``r`` independent terms are the
+    generators.  Every other term times the generators it depends on is
+    ``+-I`` (the sign is read off the exact product), so on the joint
+    eigenspace where generator ``g`` takes the sign ``(-1)**b_g`` each
+    term is a known sign and the energy is a signed sum of the
+    coefficients.  Each of the ``2**r`` sign patterns is one level with
+    multiplicity ``2**(n - r)``, and every eigenvalue is returned with
+    that multiplicity.  The ``2**n`` levels must fit the budget
+    ``errors.DENSE_ELEMENTS`` (3x4, 24 sites, fits).  A list whose terms
+    do not all commute raises ``ValueError``; diagonalize
+    :func:`dense_matrix` for those.
     """
     n = ham.n_sites
     _require_capacity(1 << n, f"basis of {n} sites")
-    sectors = _z_sectors(ham)
-    _require_capacity(sum(states.size ** 2 for states in sectors),
-                      f"sector blocks on {n} sites")
-    # every block is assembled, and so checked closed under every term,
-    # before any is solved
-    blocks = [_assemble(ham, states) for states in sectors]
-    return np.sort(np.concatenate(
-        [scipy.linalg.eigvalsh(block) for block in blocks]))
+    if not ham.all_terms_commute():
+        raise ValueError("spectrum needs commuting terms; "
+                         "diagonalize dense_matrix(ham) instead")
+    # echelon rows (vector, generators it is the product of)
+    rows: list[tuple[int, int]] = []
+    gens: list[PauliString] = []
+    deps: list[tuple[float, int]] = []
+    for coeff, op in ham.terms:
+        vec, dep = op.x_mask << n | op.z_mask, 0
+        for row, row_dep in rows:
+            if vec ^ row < vec:
+                vec, dep = vec ^ row, dep ^ row_dep
+        if vec:
+            # the reduced row is the new generator times those in dep
+            rows.append((vec, dep ^ (1 << len(gens))))
+            dep = 1 << len(gens)
+            gens.append(op)
+            sign = 1
+        else:
+            prod = multiply_all(
+                [op, *(g for k, g in enumerate(gens) if dep >> k & 1)])
+            sign = -1 if prod.phase_exp == 2 else 1  # prod is +-I
+        deps.append((coeff * sign, dep))
+    r = len(gens)
+    levels = np.zeros(1 << r)
+    for weight, dep in deps:
+        levels += weight * _z_signs(dep, r)
+    return np.repeat(np.sort(levels), 1 << (n - r))

@@ -1,7 +1,8 @@
-"""Operator factory: Majoranas, plaquette stabilizers, and site operations.
+"""Operator factory: Majoranas, bond parities, and site operations.
 
-Plaquette stabilizers are built once per layout in :mod:`semionlab.lattice`,
-which also owns ``UP``, ``DOWN`` and ``REP_HONEYCOMB`` (re-exported here).
+Plaquette stabilizers are built once per layout in :mod:`semionlab.lattice`
+as ``BondPlaquette.up`` and ``.down``; that module also owns ``UP``,
+``DOWN`` and ``REP_HONEYCOMB`` (re-exported here).
 
 Two representations are produced, tagged on every operator:
 
@@ -31,7 +32,6 @@ from .lattice import (
     REP_HONEYCOMB,
     UP,
     WHITE,
-    BondPlaquette,
     HoneycombLayout,
 )
 from .pauli import PauliString, multiply, multiply_all
@@ -89,21 +89,6 @@ def link_zz_op(layout: HoneycombLayout, square_site: int) -> PauliString:
         {layout.rank(square_site, BLACK): "Z",
          layout.rank(square_site, WHITE): "Z"},
         REP_HONEYCOMB)
-
-
-def plaquette_op(layout: HoneycombLayout, plaquette: BondPlaquette,
-                 family: str) -> PauliString:
-    """Stabilizer of one bond plaquette, family ``"up"`` or ``"down"``.
-
-    A lookup of the operator the layout built with the plaquette (see
-    :class:`~semionlab.lattice.BondPlaquette`); letters follow the label
-    order 1..6 and labels missing at the boundary are skipped.
-    """
-    if family == UP:
-        return plaquette.up
-    if family == DOWN:
-        return plaquette.down
-    raise ValueError(f"unknown plaquette family {family!r}")
 
 
 def bond_parity_op(layout: HoneycombLayout, square_i: int, square_j: int,

@@ -43,7 +43,7 @@ from semionlab.hamiltonian import (
     spectrum,
 )
 from semionlab.lattice import BLACK, WHITE, build_layout
-from semionlab.operators import DOWN, UP, link_zz_op, plaquette_op
+from semionlab.operators import link_zz_op
 from semionlab.pauli import PauliString, commutes, multiply
 from semionlab.states import (
     apply_pauli,
@@ -84,20 +84,15 @@ def test_stabilizer_algebra():
     """Every stabilizer pair on 3x3 commutes; plaquette ops square to 1."""
     start = time.monotonic()
     layout = build_layout(3, 3)
-    ops = []
-    for plq in layout.bond_plaquettes:
-        for family in (UP, DOWN):
-            ops.append(plaquette_op(layout, plq, family))
-    ops += [link_zz_op(layout, s) for s in range(layout.square.n_sites)]
+    plaqs = [w for p in layout.bond_plaquettes for w in (p.up, p.down)]
+    ops = plaqs + [link_zz_op(layout, s)
+                   for s in range(layout.square.n_sites)]
     commuting = all(commutes(a, b)
                     for a, b in itertools.combinations(ops, 2))
-    hermitian = all(
-        plaquette_op(layout, p, f).is_hermitian()
-        for p in layout.bond_plaquettes for f in (UP, DOWN))
+    hermitian = all(w.is_hermitian() for w in plaqs)
     squares = all(
         multiply(w, w).is_identity_mask() and multiply(w, w).phase_exp == 0
-        for w in (plaquette_op(layout, p, f)
-                  for p in layout.bond_plaquettes for f in (UP, DOWN)))
+        for w in plaqs)
     elapsed = time.monotonic() - start
     ok = commuting and hermitian and squares and elapsed < 5.0
     report("stabilizer algebra", ok,
@@ -112,8 +107,8 @@ def test_ground_state():
     layout = build_layout(2, 3)
     ground = project_ground(layout)
     flux_dev = max(
-        abs(expectation(ground, plaquette_op(layout, p, f)).real - 1.0)
-        for p in layout.bond_plaquettes for f in (UP, DOWN))
+        abs(expectation(ground, w).real - 1.0)
+        for p in layout.bond_plaquettes for w in (p.up, p.down))
     ham = build_spin_hamiltonian(layout, 1.0, 1.0, 1.0)
     energy, variance = energy_moments(ground, ham)
     eig = spectrum(ham)

@@ -24,30 +24,26 @@ def _one_z_term(n: int) -> HamiltonianTerms:
                             ((1.0, PauliString.single(n, 0, "Z")),))
 
 
-# Every guarded entry point, one size past the budget.  ``single_array``
-# marks the guards in front of one array, where nothing may be allocated
-# before the check; the sector spectrum labels its basis (2**n entries,
-# inside the budget) before it can count the block entries.
+# Every guarded entry point, one size past the budget.  Each guard stands
+# in front of its first array, so nothing may be allocated before the check.
 CASES = {
-    "to_matrix_13_qubits": (PauliString.identity(13).to_matrix, True),
-    "dense_matrix_13_qubits": (partial(dense_matrix, _one_z_term(13)), True),
-    "oracle_1x13": (DiagonalOracle(build_layout(1, 13), 1.0, 1.0, 1.0)
-                    .enumerate_energies, True),
-    "qnd_deviation_n23_cavity3": (
-        partial(qnd_closed_form_deviation, QndParams.canonical(1.0, (0, 5)),
-                23, 3), True),
-    "basis_state_25": (partial(basis_state, 25), True),
-    "spectrum_3x3": (
-        partial(spectrum, build_spin_hamiltonian(build_layout(3, 3),
-                                                 1.0, 1.0, 1.0)), False),
-    "project_ground_3x4_cavity2": (
-        partial(project_ground, build_layout(3, 4), 2), True),
+    "to_matrix_13_qubits": PauliString.identity(13).to_matrix,
+    "dense_matrix_13_qubits": partial(dense_matrix, _one_z_term(13)),
+    "oracle_1x13": DiagonalOracle(
+        build_layout(1, 13), 1.0, 1.0, 1.0).enumerate_energies,
+    "qnd_deviation_n23_cavity3": partial(
+        qnd_closed_form_deviation, QndParams.canonical(1.0, (0, 5)), 23, 3),
+    "basis_state_25": partial(basis_state, 25),
+    "spectrum_1x13": partial(
+        spectrum, build_spin_hamiltonian(build_layout(1, 13), 1.0, 1.0, 1.0)),
+    "project_ground_3x4_cavity2": partial(
+        project_ground, build_layout(3, 4), 2),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_guard_refuses_past_budget_before_allocating(name):
-    call, single_array = CASES[name]
+    call = CASES[name]
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError) as info:
@@ -56,5 +52,4 @@ def test_guard_refuses_past_budget_before_allocating(name):
     finally:
         tracemalloc.stop()
     assert str(DENSE_ELEMENTS) in str(info.value)
-    if single_array:
-        assert peak < 1 << 20, f"{peak} bytes allocated before the check"
+    assert peak < 1 << 20, f"{peak} bytes allocated before the check"

@@ -70,9 +70,17 @@ class TestSpectrum:
         assert all(v == 0 for v in json.loads(out)["trials"][0]["eigenvalues"])
 
     def test_oversize_lattice_capacity_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "spec.json", {"rows": 3, "cols": 3})
+        cfg = write_config(tmp_path, "spec.json", {"rows": 1, "cols": 13})
         code, _, err = run(["spectrum", "--config", cfg], capsys)
         assert code == 2 and "error" in err
+
+    def test_3x3_lattice_passes(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "spec.json", {"rows": 3, "cols": 3})
+        code, out, _ = run(["spectrum", "--config", cfg], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["equivalence_pass"] is True
+        assert len(report["trials"][0]["eigenvalues"]) == 2 ** 18
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_no_random_trials_rejected(self, tmp_path, capsys, trials):
@@ -111,6 +119,16 @@ class TestGround:
         assert report["degeneracy"] == {"oracle": 4,
                                         "exact_diagonalization": 4,
                                         "predicted": 4}
+
+    def test_3x3_checks_pass(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "g.json", {"rows": 3, "cols": 3})
+        code, out, _ = run(["ground", "--config", cfg], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert all(report["checks"].values())
+        assert report["degeneracy"] == {"oracle": 8,
+                                        "exact_diagonalization": 8,
+                                        "predicted": 8}
 
 
 class TestBraid:
@@ -228,3 +246,13 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["counts"]["honeycomb_sites"] == 4
+
+
+def test_cli_import_leaves_out_the_eigensolver():
+    # every spectrum is exact from the stabilizer tableau; nothing in the
+    # package needs LAPACK's eigensolver, so the CLI must not load it
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, semionlab.cli; print('scipy.linalg' in sys.modules)"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "False\n"

@@ -10,7 +10,6 @@ from semionlab.errors import CapacityError
 from semionlab.hamiltonian import (
     DiagonalOracle,
     HamiltonianTerms,
-    _z_sectors,
     build_device_hamiltonian,
     build_spin_hamiltonian,
     dense_matrix,
@@ -115,7 +114,8 @@ class TestSpinHamiltonian:
 
 
 class TestMappingEquivalence:
-    @pytest.mark.parametrize("dims", [(1, 2), (1, 4), (2, 2)])
+    @pytest.mark.parametrize("dims",
+                             [(1, 2), (1, 4), (2, 2), (2, 3), (3, 3)])
     def test_spectrum_matches_oracle_multiset(self, dims):
         layout = build_layout(*dims)
         rng = np.random.default_rng(sum(dims))
@@ -134,7 +134,7 @@ class TestMappingEquivalence:
     @pytest.mark.parametrize("dims", [(1, 4), (2, 3)])
     def test_plain_dense_path_matches_oracle(self, dims):
         # the full-matrix solve keeps its own check against the oracle,
-        # independent of the sector split that spectrum() uses
+        # independent of the tableau that spectrum() uses
         layout = build_layout(*dims)
         j_up, j_down, u = 0.9, 1.6, 0.7
         ham = build_spin_hamiltonian(layout, j_up, j_down, u)
@@ -143,13 +143,12 @@ class TestMappingEquivalence:
         assert np.max(np.abs(eig - orc)) < 1e-10
 
     def test_capacity_error(self):
-        layout = build_layout(3, 3)  # 18 sites
+        layout = build_layout(1, 13)  # 26 sites
         ham = build_spin_hamiltonian(layout, 1, 1, 1)
         with pytest.raises(CapacityError):
             spectrum(ham)
 
     def test_sector_spectrum_at_2x4_matches_oracle(self):
-        # 256 blocks of 256: exactly the dense budget in block entries
         layout = build_layout(2, 4)
         j_up, j_down, u = 0.9, 1.6, 0.7
         eig = spectrum(build_spin_hamiltonian(layout, j_up, j_down, u))
@@ -166,38 +165,30 @@ def _dense_spectrum(ham: HamiltonianTerms) -> np.ndarray:
     return scipy.linalg.eigvalsh(dense_matrix(ham))
 
 
-class TestSectorSpectrum:
-    def test_spin_hamiltonian_splits_by_link_signs(self):
-        # six link ZZ terms at 2x3: 64 sectors of 64 states
-        layout = build_layout(2, 3)
-        ham = build_spin_hamiltonian(layout, 1.0, 0.8, 1.2)
-        assert [s.size for s in _z_sectors(ham)] == [64] * 64
+class TestTableauSpectrum:
+    def test_dependent_term_takes_the_product_sign(self):
+        # YY = -(XX)(ZZ): the third term is not a free sign
+        ham = _terms(2, (1.0, "XX"), (1.0, "ZZ"), (1.0, "YY"))
+        assert np.array_equal(spectrum(ham), [-3.0, 1.0, 1.0, 1.0])
+        assert np.max(np.abs(spectrum(ham) - _dense_spectrum(ham))) < 1e-12
 
     def test_y_and_complex_phase_terms_match_dense(self):
-        # Y X and X Y terms have odd phase exponents, so the blocks are
-        # complex; Z0 anticommutes with Y0 X1 and must not label sectors
-        ham = _terms(4, (0.7, "ZZII"), (0.4, "IIZZ"), (1.1, "YXII"),
-                     (-0.6, "IIXY"), (0.5, "YXXX"), (0.3, "ZIII"),
-                     (-0.8, "- YYII"))
-        assert len(_z_sectors(ham)) == 4
-        assert np.max(np.abs(spectrum(ham) - _dense_spectrum(ham))) < 1e-10
+        # Y X and X Y terms have odd phase exponents, so the dense matrix
+        # is complex; Y X X Y and the minus identity depend on the rest
+        ham = _terms(4, (0.7, "ZZII"), (1.1, "YXII"), (-0.6, "XYII"),
+                     (0.4, "IIZZ"), (0.9, "IIXY"), (-0.3, "- IIYX"),
+                     (0.5, "YXXY"), (0.2, "- IIII"))
+        assert np.max(np.abs(spectrum(ham) - _dense_spectrum(ham))) < 1e-12
 
     def test_fully_diagonal_device_hamiltonian_matches_dense(self):
         layout = build_layout(2, 2)
         ham = build_device_hamiltonian(layout, 0.8, 1.1, 0.5)
-        assert len(_z_sectors(ham)) > 1
         assert np.max(np.abs(spectrum(ham) - _dense_spectrum(ham))) < 1e-10
 
-    def test_no_z_only_term_is_one_block(self):
-        ham = _terms(3, (0.9, "XXI"), (-0.4, "IYY"), (0.6, "YIX"),
-                     (1.3, "XZY"))
-        assert len(_z_sectors(ham)) == 1
-        assert np.max(np.abs(spectrum(ham) - _dense_spectrum(ham))) < 1e-10
-
-    def test_non_commuting_z_term_is_not_a_label(self):
+    def test_non_commuting_list_raises(self):
         ham = _terms(1, (1.0, "X"), (1.0, "Z"))
-        assert np.allclose(spectrum(ham), [-np.sqrt(2), np.sqrt(2)],
-                           atol=1e-14)
+        with pytest.raises(ValueError, match="dense_matrix"):
+            spectrum(ham)
 
 
 class TestGroundDegeneracy:

@@ -15,7 +15,6 @@ from semionlab.operators import (
     device_qubit,
     link_zz_op,
     majorana_op,
-    plaquette_op,
     x_string_device,
     x_string_op,
     z_op,
@@ -71,8 +70,7 @@ class TestPlaquetteOps:
     def test_hermitian_and_squares_to_identity(self):
         layout = build_layout(2, 3)
         for plq in layout.bond_plaquettes:
-            for family in (UP, DOWN):
-                w = plaquette_op(layout, plq, family)
+            for w in (plq.up, plq.down):
                 assert w.is_hermitian()
                 sq = multiply(w, w)
                 assert sq.is_identity_mask() and sq.phase_exp == 0
@@ -83,17 +81,15 @@ class TestPlaquetteOps:
 
     def test_both_families_commute_all_pairs_3x3(self):
         layout = build_layout(3, 3)
-        ups = [plaquette_op(layout, p, UP) for p in layout.bond_plaquettes]
-        downs = [plaquette_op(layout, p, DOWN) for p in layout.bond_plaquettes]
+        ups = [p.up for p in layout.bond_plaquettes]
+        downs = [p.down for p in layout.bond_plaquettes]
         for a in ups:
             for b in downs:
                 assert commutes(a, b)
 
     def test_same_family_commute_all_pairs(self):
-        layout = build_layout(3, 3)
-        for family in (UP, DOWN):
-            ops = [plaquette_op(layout, p, family)
-                   for p in layout.bond_plaquettes]
+        plqs = build_layout(3, 3).bond_plaquettes
+        for ops in ([p.up for p in plqs], [p.down for p in plqs]):
             for a, b in itertools.combinations(ops, 2):
                 assert commutes(a, b)
 
@@ -104,8 +100,7 @@ class TestPlaquetteOps:
         for dims in ((1, 4), (2, 3), (3, 3)):
             layout = build_layout(*dims)
             for plq in layout.bond_plaquettes:
-                for family in (UP, DOWN):
-                    lit = plaquette_op(layout, plq, family)
+                for family, lit in ((UP, plq.up), (DOWN, plq.down)):
                     jw = bond_parity_op(layout, plq.site_i, plq.site_j,
                                         family)
                     assert lit == jw, (dims, plq.index, family)
@@ -114,18 +109,8 @@ class TestPlaquetteOps:
         layout = build_layout(3, 3)
         tup = layout.complete_plaquettes()[0]
         plq = next(p for p in layout.bond_plaquettes if p.labels == tup)
-        w = plaquette_op(layout, plq, UP)
-        assert [w.letter(r) for r in tup] == list("YXZYXZ")
-        wt = plaquette_op(layout, plq, DOWN)
-        assert [wt.letter(r) for r in tup] == list("XYZXYZ")
-
-    def test_lookup_of_the_layout_table(self):
-        layout = build_layout(2, 3)
-        for plq in layout.bond_plaquettes:
-            assert plaquette_op(layout, plq, UP) is plq.up
-            assert plaquette_op(layout, plq, DOWN) is plq.down
-        with pytest.raises(ValueError, match="family"):
-            plaquette_op(layout, layout.bond_plaquettes[0], "sideways")
+        assert [plq.up.letter(r) for r in tup] == list("YXZYXZ")
+        assert [plq.down.letter(r) for r in tup] == list("XYZXYZ")
 
     def test_consumers_build_no_plaquette_operator(self, monkeypatch):
         # the layout builds every stabilizer once; the Hamiltonian, the
@@ -260,8 +245,7 @@ class TestDeviceRepresentation:
 def test_link_zz_commutes_with_all_stabilizers():
     layout = build_layout(3, 3)
     zz = [link_zz_op(layout, s) for s in range(9)]
-    stabs = [plaquette_op(layout, p, f)
-             for p in layout.bond_plaquettes for f in (UP, DOWN)]
+    stabs = [w for p in layout.bond_plaquettes for w in (p.up, p.down)]
     for a in zz:
         for b in stabs + zz:
             assert commutes(a, b)

@@ -9,7 +9,7 @@ from semionlab.errors import (
 )
 from semionlab.hamiltonian import build_spin_hamiltonian, spectrum
 from semionlab.lattice import BLACK, WHITE, build_layout
-from semionlab.operators import DOWN, UP, link_zz_op, plaquette_op, z_op
+from semionlab.operators import link_zz_op, z_op
 from semionlab.pauli import PauliString, apply_to_amplitudes
 from semionlab.states import (
     StateVector,
@@ -43,8 +43,8 @@ class TestReferenceState:
         layout = build_layout(2, 3)
         ref = reference_state(layout)
         for plq in layout.bond_plaquettes:
-            for family in (UP, DOWN):
-                val = expectation(ref, plaquette_op(layout, plq, family))
+            for w in (plq.up, plq.down):
+                val = expectation(ref, w)
                 assert abs(val) < 1e-14
 
 
@@ -53,8 +53,8 @@ class TestProjectGround:
         layout = build_layout(2, 3)
         ground = project_ground(layout)
         for plq in layout.bond_plaquettes:
-            for family in (UP, DOWN):
-                val = expectation(ground, plaquette_op(layout, plq, family))
+            for w in (plq.up, plq.down):
+                val = expectation(ground, w)
                 assert abs(val.real - 1.0) < 1e-12
 
     def test_link_zz_sector_preserved(self):
@@ -78,8 +78,7 @@ class TestProjectGround:
         ground = project_ground(layout)
         amps = ground.blocks()
         for plq in layout.bond_plaquettes:
-            for family in (UP, DOWN):
-                op = plaquette_op(layout, plq, family)
+            for op in (plq.up, plq.down):
                 amps = 0.5 * (amps + apply_to_amplitudes(op, amps))
         again = StateVector(layout.n_sites, 1, amps.ravel())
         fidelity = abs(overlap(ground, again.normalized()))
