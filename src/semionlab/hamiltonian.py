@@ -39,9 +39,10 @@ from .operators import (
 )
 from .pauli import (
     PauliString,
+    _check_compatible,
+    _gf2_reduce,
     _z_signs,
     apply_to_amplitudes,
-    commutes,
     multiply_all,
 )
 
@@ -72,9 +73,26 @@ class HamiltonianTerms:
                 raise ValueError(f"non-Hermitian term {op}")
 
     def all_terms_commute(self) -> bool:
-        ops = [op for _, op in self.terms]
-        return all(commutes(ops[i], ops[j])
-                   for i in range(len(ops)) for j in range(i + 1, len(ops)))
+        """True iff every pair of terms commutes.
+
+        Mixed representation tags raise ``RepresentationError`` first,
+        naming the first tag and the first other tag in term order.  Two
+        terms commute iff ``x_mask << n | z_mask`` of one and
+        ``z_mask << n | x_mask`` of the other share an even number of
+        bits (the symplectic product).
+        """
+        tagged = [op for _, op in self.terms if op.rep is not None]
+        for op in tagged:
+            if op.rep != tagged[0].rep:
+                _check_compatible(tagged[0], op)  # raises
+        n = self.n_sites
+        vecs = [op.x_mask << n | op.z_mask for _, op in self.terms]
+        swapped = [op.z_mask << n | op.x_mask for _, op in self.terms]
+        for i, vec in enumerate(vecs):
+            for other in swapped[i + 1:]:
+                if (vec & other).bit_count() & 1:
+                    return False
+        return True
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         out = np.zeros_like(amps, dtype=complex)
@@ -271,10 +289,7 @@ def spectrum(ham: HamiltonianTerms) -> np.ndarray:
     gens: list[PauliString] = []
     deps: list[tuple[float, int]] = []
     for coeff, op in ham.terms:
-        vec, dep = op.x_mask << n | op.z_mask, 0
-        for row, row_dep in rows:
-            if vec ^ row < vec:
-                vec, dep = vec ^ row, dep ^ row_dep
+        vec, dep = _gf2_reduce(op.x_mask << n | op.z_mask, rows)
         if vec:
             # the reduced row is the new generator times those in dep
             rows.append((vec, dep ^ (1 << len(gens))))

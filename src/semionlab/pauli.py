@@ -249,6 +249,24 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     return overlap % 2 == 0
 
 
+def _gf2_reduce(vec: int, rows: list[tuple[int, int]]) -> tuple[int, int]:
+    """Reduce ``vec`` over GF(2) against echelon ``rows``.
+
+    Each row is ``(vector, dep)``: a vector whose leading bit is clear
+    in every later row, and the bitmask of the inputs it is the XOR of
+    (the rows a caller builds by appending remainders are such).  The
+    result is the remainder and the XOR of the deps of the rows used, so
+    ``vec`` is the remainder XOR the inputs in that mask; a zero
+    remainder means ``vec`` lies in the span.  A caller that keeps a
+    nonzero remainder appends ``(remainder, dep ^ (1 << len(rows)))``.
+    """
+    dep = 0
+    for row, row_dep in rows:
+        if vec ^ row < vec:
+            vec, dep = vec ^ row, dep ^ row_dep
+    return vec, dep
+
+
 def _z_signs(z_mask: int, n_bits: int) -> np.ndarray:
     """``(-1)**popcount(i & z_mask)`` for every ``i < 2**n_bits``."""
     idx = np.arange(1 << n_bits, dtype=np.uint64)

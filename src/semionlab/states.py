@@ -19,7 +19,7 @@ from .errors import (
 )
 from .hamiltonian import HamiltonianTerms
 from .lattice import DOWN, UP, HoneycombLayout
-from .pauli import PauliString, apply_to_amplitudes
+from .pauli import PauliString, _gf2_reduce, apply_to_amplitudes
 
 __all__ = [
     "StateVector",
@@ -146,25 +146,48 @@ def expectation(state: StateVector, op: PauliString) -> complex:
 def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
     """Stabilized ground state: project every plaquette family to +1.
 
-    Applies ``(1 + W)`` for the up- and down-family operator of every
-    bond plaquette to the reference state and normalizes.  The result is
-    a +1 eigenstate of every plaquette operator and of every link ZZ. A
-    projection that annihilates the state would signal an inconsistent
-    sign convention and raises instead of silently renormalizing.  With
-    a cavity the ground state fills the zero-photon block and every
-    other block is zero, so only the qubit register is projected.
+    The result is ``(1 + W)`` for the up- and down-family operator of
+    every bond plaquette, in that order, applied to the reference state
+    and normalized: a +1 eigenstate of every plaquette operator and of
+    every link ZZ.  It is built on its support only.  Starting from basis
+    index 0, each ``W = i**p X(x) Z(z)`` maps basis index ``t`` to
+    ``t ^ x`` with the factor ``i**p (-1)**popcount(t & z)``.  If ``x``
+    is outside the GF(2) span of the x-masks so far, the image is new
+    and the support doubles; otherwise ``W`` permutes the support and its
+    image is added in place.  A projection that annihilates the state
+    would signal an inconsistent sign convention and raises instead of
+    silently renormalizing.  The phase is fixed as
+    :meth:`StateVector.with_fixed_phase` fixes it, and the support is
+    scattered once into the zero-photon block; every other block is zero.
+    The tests keep the full-register projection loop as the reference.
     """
     size = _amplitude_count(layout.n_sites, cavity_dim)
-    amps = reference_state(layout).amplitudes
+    idx = np.zeros(1, dtype=np.int64)
+    vals = np.ones(1, dtype=complex)
+    # echelon x-masks; dep bit k is the k-th x-mask that doubled the
+    # support, and idx[j] is the XOR of the x-masks whose bits j sets
+    rows: list[tuple[int, int]] = []
     for plq in layout.bond_plaquettes:
         for family, op in ((UP, plq.up), (DOWN, plq.down)):
-            amps += apply_to_amplitudes(op, amps)
-            if not np.any(amps):
-                raise ZeroProjectionError(
-                    f"plaquette {plq.index} ({family}) annihilated the state")
-    ground = StateVector(layout.n_sites, 1, amps).normalized()
+            signs = 1.0 - 2.0 * (np.bitwise_count(idx & op.z_mask) & 1)
+            image = (1j ** op.phase_exp * signs) * vals
+            x, dep = _gf2_reduce(op.x_mask, rows)
+            if x:
+                rows.append((x, dep ^ (1 << len(rows))))
+                idx = np.concatenate((idx, idx ^ op.x_mask))
+                vals = np.concatenate((vals, image))
+            else:
+                vals = vals + image[np.arange(vals.size) ^ dep]
+                if not np.any(vals):
+                    raise ZeroProjectionError(
+                        f"plaquette {plq.index} ({family}) "
+                        "annihilated the state")
+    vals = vals / float(np.linalg.norm(vals))
+    modulus = np.abs(vals)
+    top = np.flatnonzero(modulus == modulus.max())
+    lead = vals[top[np.argmin(idx[top])]]
     out = np.zeros(size, dtype=complex)
-    out[:amps.size] = ground.with_fixed_phase().amplitudes
+    out[idx] = vals * (abs(lead) / lead)
     return StateVector(layout.n_sites, cavity_dim, out)
 
 

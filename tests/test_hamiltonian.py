@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from semionlab.errors import CapacityError
+from semionlab.errors import CapacityError, RepresentationError
 from semionlab.hamiltonian import (
     DiagonalOracle,
     HamiltonianTerms,
@@ -91,6 +91,26 @@ class TestSpinHamiltonian:
         layout = build_layout(2, 3)
         ham = build_spin_hamiltonian(layout, 1.0, 2.0, 3.0)
         assert ham.all_terms_commute()
+
+    def test_one_anticommuting_pair_is_found(self):
+        # ZZ and XX share two sites and commute; only (ZZ, XI) anticommutes
+        zz = PauliString.from_letters(2, {0: "Z", 1: "Z"})
+        xx = PauliString.from_letters(2, {0: "X", 1: "X"})
+        xi = PauliString.single(2, 0, "X")
+        ham = HamiltonianTerms("spin", 2, ((1.0, zz), (1.0, xx), (1.0, xi)))
+        assert not ham.all_terms_commute()
+        assert HamiltonianTerms("spin", 2, ((1.0, zz), (1.0, xx))) \
+            .all_terms_commute()
+
+    def test_mixed_representation_tags_raise(self):
+        terms = ((1.0, PauliString.single(2, 0, "Z")),
+                 (1.0, PauliString.single(2, 1, "Z", "honeycomb_spin")),
+                 (1.0, PauliString.single(2, 0, "Z", "honeycomb_spin")),
+                 (1.0, PauliString.single(2, 1, "Z", "device")))
+        ham = HamiltonianTerms("spin", 2, terms)
+        with pytest.raises(RepresentationError,
+                           match="'honeycomb_spin' and 'device'"):
+            ham.all_terms_commute()
 
     def test_zz_only_spectrum(self):
         layout = build_layout(1, 3)

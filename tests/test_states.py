@@ -1,5 +1,9 @@
 """State engine: reference state, stabilizer projection, expectations."""
 
+import copy
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,7 @@ from semionlab.errors import (
 from semionlab.hamiltonian import build_spin_hamiltonian, spectrum
 from semionlab.lattice import BLACK, WHITE, build_layout
 from semionlab.operators import link_zz_op, z_op
-from semionlab.pauli import PauliString, apply_to_amplitudes
+from semionlab.pauli import PauliString, apply_to_amplitudes, multiply
 from semionlab.states import (
     StateVector,
     apply_pauli,
@@ -48,7 +52,78 @@ class TestReferenceState:
                 assert abs(val) < 1e-14
 
 
+def _reference_ground(layout, cavity_dim=1):
+    """``(1 + W)`` over the full register for every plaquette stabilizer.
+
+    The projection loop that :func:`project_ground` is held to: up, then
+    down, per bond plaquette, then the normalized, phase-fixed qubit
+    state in the zero-photon block.
+    """
+    amps = reference_state(layout).amplitudes
+    for plq in layout.bond_plaquettes:
+        for op in (plq.up, plq.down):
+            amps = amps + apply_to_amplitudes(op, amps)
+    qubits = StateVector(layout.n_sites, 1, amps).normalized()
+    out = np.zeros(cavity_dim * amps.size, dtype=complex)
+    out[:amps.size] = qubits.with_fixed_phase().amplitudes
+    return out
+
+
+def _with_down(layout, index, down):
+    """Copy of ``layout`` whose plaquette ``index`` has another ``down``."""
+    altered = copy.copy(layout)
+    altered.bond_plaquettes = list(layout.bond_plaquettes)
+    altered.bond_plaquettes[index] = dataclasses.replace(
+        layout.bond_plaquettes[index], down=down)
+    return altered
+
+
 class TestProjectGround:
+    @pytest.mark.parametrize("cavity_dim", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 4), (2, 2), (2, 3),
+                                       (3, 2), (2, 4), (3, 3), (2, 5)])
+    def test_equals_full_register_projection(self, shape, cavity_dim):
+        layout = build_layout(*shape)
+        ground = project_ground(layout, cavity_dim)
+        assert np.array_equal(ground.amplitudes,
+                              _reference_ground(layout, cavity_dim))
+
+    def test_negated_dependent_stabilizer_raises(self):
+        # down's x-mask is in the span of the masks before it; negated,
+        # it has eigenvalue -1 on the whole support
+        layout = build_layout(2, 3)
+        down = layout.bond_plaquettes[2].down
+        altered = _with_down(layout, 2, down.times_i(2))
+        with pytest.raises(ZeroProjectionError,
+                           match=r"plaquette 2 \(down\) annihilated"):
+            project_ground(altered)
+
+    def test_mixed_sign_dependent_operator_matches_reference(self):
+        # Z on a site of down's own X support: the x-mask stays in the
+        # span, but the operator anticommutes with up and acts with mixed
+        # signs, so half of the support cancels
+        layout = build_layout(2, 3)
+        down = layout.bond_plaquettes[2].down
+        site = (down.x_mask & -down.x_mask).bit_length() - 1
+        altered = _with_down(layout, 2, multiply(
+            down, PauliString.single(layout.n_sites, site, "Z")))
+        ground = project_ground(altered).amplitudes
+        assert np.count_nonzero(project_ground(layout).amplitudes) == 16
+        assert np.count_nonzero(ground) == 8
+        assert np.array_equal(ground, _reference_ground(altered))
+
+    @pytest.mark.parametrize("cavity_dim", [1, 2])
+    def test_allocates_only_the_output(self, cavity_dim):
+        layout = build_layout(3, 3)
+        project_ground(layout, cavity_dim)
+        tracemalloc.start()
+        try:
+            ground = project_ground(layout, cavity_dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ground.amplitudes.nbytes + (1 << 20)
+
     def test_all_plaquette_expectations_plus_one(self):
         layout = build_layout(2, 3)
         ground = project_ground(layout)
