@@ -69,6 +69,7 @@ from .states import (
     basis_state,
     energy_moments,
     expectation,
+    expectations,
     overlap,
     project_ground,
     random_state,

@@ -29,12 +29,13 @@ from .lattice import HoneycombLayout
 from .operators import REP_HONEYCOMB, x_string_op
 from .pauli import (
     PauliString,
+    _check_compatible,
     _site_mask,
     apply_to_amplitudes,
     commutes,
     multiply,
 )
-from .states import StateVector, apply_pauli, expectation, overlap
+from .states import StateVector, apply_pauli, expectations, overlap
 
 __all__ = [
     "StringSpec",
@@ -120,17 +121,37 @@ class VortexMap:
 
 
 def vortex_map(state: StateVector, layout: HoneycombLayout) -> VortexMap:
-    """Expectations of every plaquette operator pair on a dense state."""
-    return VortexMap(tuple(
-        (expectation(state, plq.up).real, expectation(state, plq.down).real)
-        for plq in layout.bond_plaquettes))
+    """Expectations of every plaquette operator pair on a dense state.
+
+    The up and down stabilizer of a plaquette share an x-mask, so
+    :func:`~semionlab.states.expectations` reads each pair from one flip.
+    """
+    plqs = layout.bond_plaquettes
+    values = expectations(state, [op for p in plqs for op in (p.up, p.down)])
+    return VortexMap(tuple((up.real, down.real)
+                           for up, down in zip(values[0::2], values[1::2])))
 
 
 def predicted_flips(layout: HoneycombLayout, op: PauliString) -> dict:
-    """Plaquettes whose stabilizer anticommutes with ``op``, per family."""
+    """Plaquettes whose stabilizer anticommutes with ``op``, per family.
+
+    Every stabilizer of a layout has the same register and tag, so
+    ``op`` is checked against the first one only (raising as
+    :func:`~semionlab.pauli.commutes` would).  Then ``op`` anticommutes
+    with ``W`` iff ``x_mask << n | z_mask`` of ``op`` and
+    ``z_mask << n | x_mask`` of ``W`` share an odd number of bits.
+    """
     plqs = layout.bond_plaquettes
-    return {"up": tuple(p.index for p in plqs if not commutes(op, p.up)),
-            "down": tuple(p.index for p in plqs if not commutes(op, p.down))}
+    if plqs:
+        _check_compatible(op, plqs[0].up)
+    n = op.n_sites
+    vec = op.x_mask << n | op.z_mask
+
+    def anticommutes(w: PauliString) -> bool:
+        return (vec & (w.z_mask << n | w.x_mask)).bit_count() % 2 == 1
+
+    return {"up": tuple(p.index for p in plqs if anticommutes(p.up)),
+            "down": tuple(p.index for p in plqs if anticommutes(p.down))}
 
 
 # -- braiding ----------------------------------------------------------
@@ -332,8 +353,10 @@ def cavity_superposition(qubit_state: StateVector, mu: complex,
     if qubit_state.cavity_dim != 1:
         raise DimensionMismatchError("qubit state already carries a cavity")
     q = qubit_state.amplitudes
-    return StateVector(qubit_state.n_qubits, 2,
-                       np.concatenate([mu * q, nu * q]))
+    amps = np.empty((2, q.size), dtype=complex)
+    np.multiply(mu, q, out=amps[0])
+    np.multiply(nu, q, out=amps[1])
+    return StateVector(qubit_state.n_qubits, 2, amps.ravel())
 
 
 # -- basis changes ------------------------------------------------------

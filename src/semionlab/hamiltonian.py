@@ -42,7 +42,7 @@ from .pauli import (
     _check_compatible,
     _gf2_reduce,
     _z_signs,
-    apply_to_amplitudes,
+    apply_pauli_sum,
     multiply_all,
 )
 
@@ -95,10 +95,10 @@ class HamiltonianTerms:
         return True
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(amps, dtype=complex)
-        for coeff, op in self.terms:
-            out += coeff * apply_to_amplitudes(op, amps)
-        return out
+        """``H amps`` with the qubit index last, through
+        :func:`~semionlab.pauli.apply_pauli_sum` (one flip per distinct
+        x-mask; zeros for an empty term list)."""
+        return apply_pauli_sum(self.terms, self.n_sites, amps)
 
     def to_text(self) -> str:
         lines = [f"{self.rep} {self.n_sites}"]

@@ -273,6 +273,60 @@ def _z_signs(z_mask: int, n_bits: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(z_mask)) & 1)
 
 
+def _site_tensor(amps: np.ndarray, n_sites: int) -> np.ndarray:
+    """``amps`` viewed as ``(*lead, 2, ..., 2)``, site ``j`` on axis ``-1 - j``."""
+    if amps.shape[-1] != 1 << n_sites:
+        raise DimensionMismatchError(
+            f"amplitude axis {amps.shape[-1]} != 2**{n_sites}")
+    return amps.reshape(*amps.shape[:-1], *(2,) * n_sites)
+
+
+def _flip(tensor: np.ndarray, n_sites: int, x_mask: int) -> np.ndarray:
+    """View of a site tensor whose basis index ``t`` reads ``t ^ x_mask``.
+
+    The X sites' axes are reversed; no index array is built.
+    """
+    return np.flip(tensor, axis=tuple(
+        tensor.ndim - 1 - j for j in range(n_sites) if x_mask >> j & 1))
+
+
+def _unit(p: PauliString) -> complex:
+    """``i**phase_exp * (-1)**popcount(x_mask & z_mask)``.
+
+    ``p`` maps basis index ``t ^ x_mask`` to ``t`` with this factor times
+    ``(-1)**popcount(t & z_mask)``.
+    """
+    phase = 1j ** p.phase_exp
+    if int.bit_count(p.x_mask & p.z_mask) % 2:
+        phase = -phase
+    return phase
+
+
+def _by_x_mask(ops, n_sites: int) -> dict[int, list[int]]:
+    """Positions in ``ops`` grouped by ``x_mask``, in order of first use."""
+    groups: dict[int, list[int]] = {}
+    for k, op in enumerate(ops):
+        if op.n_sites != n_sites:
+            raise DimensionMismatchError(
+                f"operator on {op.n_sites} sites, register has {n_sites}")
+        groups.setdefault(op.x_mask, []).append(k)
+    return groups
+
+
+def _half_signs(z_masks, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked high- and low-half :func:`_z_signs`, one row per mask.
+
+    With ``lo = n_sites // 2`` and ``hi = n_sites - lo``, row ``k`` of the
+    first array (``K x 2**hi``) times row ``k`` of the second
+    (``K x 2**lo``) is ``(-1)**popcount(t & z_masks[k])`` for
+    ``t = high * 2**lo + low``.
+    """
+    lo = n_sites // 2
+    high = np.stack([_z_signs(z >> lo, n_sites - lo) for z in z_masks])
+    low = np.stack([_z_signs(z, lo) for z in z_masks])
+    return high, low
+
+
 def apply_to_amplitudes(p: PauliString, amps: np.ndarray) -> np.ndarray:
     """Apply ``p`` to an amplitude array without building the matrix.
 
@@ -292,26 +346,89 @@ def apply_to_amplitudes(p: PauliString, amps: np.ndarray) -> np.ndarray:
     output; the low-half signs, if any, follow in place.  No array of
     length ``2**n_sites`` is built besides the output, and the action
     only permutes amplitudes and multiplies them by units, so the norm
-    is preserved exactly.
+    is preserved exactly.  This is the kernel for one string; a weighted
+    sum of strings goes through :func:`apply_pauli_sum`.
     """
     n = p.n_sites
-    if amps.shape[-1] != 1 << n:
-        raise DimensionMismatchError(
-            f"amplitude axis {amps.shape[-1]} != 2**{n}")
-    lead = amps.shape[:-1]
-    tensor = amps.reshape(*lead, *(2,) * n)
-    flipped = np.flip(tensor, axis=tuple(
-        len(lead) + n - 1 - j for j in range(n) if p.x_mask >> j & 1))
+    tensor = _site_tensor(amps, n)
+    flipped = _flip(tensor, n, p.x_mask)
     lo = n // 2
     hi = n - lo
-    phase = 1j ** p.phase_exp
-    if int.bit_count(p.x_mask & p.z_mask) % 2:
-        phase = -phase
-    coeff = phase * _z_signs(p.z_mask >> lo, hi)
+    coeff = _unit(p) * _z_signs(p.z_mask >> lo, hi)
     out = np.empty(amps.shape, dtype=complex)
     np.multiply(flipped, coeff.reshape((2,) * hi + (1,) * lo),
                 out=out.reshape(tensor.shape))
     if p.z_mask & ((1 << lo) - 1):
-        rows = out.reshape(*lead, 1 << hi, 1 << lo)
+        rows = out.reshape(*amps.shape[:-1], 1 << hi, 1 << lo)
         rows *= _z_signs(p.z_mask, lo)
     return out
+
+
+def apply_pauli_sum(terms, n_sites: int, amps: np.ndarray) -> np.ndarray:
+    """``sum_k c_k P_k amps`` for ``(c_k, P_k)`` pairs, one flip per x-mask.
+
+    ``amps`` is shaped as for :func:`apply_to_amplitudes`, qubit index
+    last, and the result is a new complex array of that shape (zeros for
+    no terms).  Term ``k`` maps input index ``t ^ x_k`` to output index
+    ``t`` with the factor ``w_k (-1)**popcount(t & z_k)``, where
+    ``w_k = c_k i**p_k (-1)**popcount(x_k & z_k)``.  Terms sharing an
+    x-mask share that reversed view, so each group is applied with one
+    multiply by its signed diagonal
+    ``D(t) = sum_k w_k (-1)**popcount(t & z_k)``.  ``D`` is built as the
+    product of the stacked half-register signs,
+    ``(2**hi x K) @ (K x 2**lo)``, so no full-length sign vector is built
+    per term; it is real when every weight is.  The first group writes
+    the output and each later one is added from one reused buffer.
+    """
+    terms = list(terms)
+    tensor = _site_tensor(amps, n_sites)
+    out = np.zeros(tensor.shape, dtype=complex)
+    groups = _by_x_mask([op for _, op in terms], n_sites)
+    scratch = np.empty_like(out) if len(groups) > 1 else None
+    for g, (x_mask, members) in enumerate(groups.items()):
+        weights = np.array([terms[k][0] * _unit(terms[k][1])
+                            for k in members])
+        if not weights.imag.any():
+            weights = weights.real
+        high, low = _half_signs([terms[k][1].z_mask for k in members],
+                                n_sites)
+        diag = ((high.T * weights) @ low).reshape((2,) * n_sites)
+        flipped = _flip(tensor, n_sites, x_mask)
+        if g == 0:
+            np.multiply(flipped, diag, out=out)
+        else:
+            np.multiply(flipped, diag, out=scratch)
+            out += scratch
+    return out.reshape(amps.shape)
+
+
+def pauli_expectations(ops, amps: np.ndarray) -> np.ndarray:
+    """``<amps| P |amps>`` for each Pauli string in ``ops``, in order.
+
+    ``amps`` is shaped as for :func:`apply_to_amplitudes`; a lead axis
+    (the cavity levels) is summed over, and ``amps`` is not normalized
+    first.  Operators sharing an x-mask are grouped as in
+    :func:`apply_pauli_sum`: each group forms ``conj(amps) * flip(amps)``
+    once, as one ``2**hi x 2**lo`` matrix ``M_c`` per lead index ``c``,
+    and the value of member ``k`` is ``w_k sum_c (h_k^T M_c) l_k`` with
+    ``w_k = i**p_k (-1)**popcount(x_k & z_k)`` and ``h_k``, ``l_k`` its
+    half-register signs (the lead sum comes after the product with
+    ``h_k``, so no second full-length array is formed).  The result is a
+    complex array.
+    """
+    ops = list(ops)
+    values = np.empty(len(ops), dtype=complex)
+    if not ops:
+        return values
+    n = ops[0].n_sites
+    tensor = _site_tensor(amps, n)
+    bra = np.conj(tensor)
+    prod = np.empty(tensor.shape, dtype=complex)
+    lo = n // 2
+    rows = prod.reshape(-1, 1 << (n - lo), 1 << lo)
+    for x_mask, members in _by_x_mask(ops, n).items():
+        np.multiply(bra, _flip(tensor, n, x_mask), out=prod)
+        high, low = _half_signs([ops[k].z_mask for k in members], n)
+        sums = np.einsum("ckl,kl->k", high @ rows, low)
+        values[members] = [_unit(ops[k]) for k in members] * sums
+    return values

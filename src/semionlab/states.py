@@ -19,7 +19,12 @@ from .errors import (
 )
 from .hamiltonian import HamiltonianTerms
 from .lattice import DOWN, UP, HoneycombLayout
-from .pauli import PauliString, _gf2_reduce, apply_to_amplitudes
+from .pauli import (
+    PauliString,
+    _gf2_reduce,
+    apply_to_amplitudes,
+    pauli_expectations,
+)
 
 __all__ = [
     "StateVector",
@@ -28,6 +33,7 @@ __all__ = [
     "random_state",
     "apply_pauli",
     "expectation",
+    "expectations",
     "overlap",
     "project_ground",
     "energy_moments",
@@ -137,10 +143,30 @@ def overlap(u: StateVector, v: StateVector) -> complex:
 def expectation(state: StateVector, op: PauliString) -> complex:
     """<state| op |state>; real up to 1e-12 for Hermitian operators."""
     val = overlap(state, apply_pauli(state, op))
+    _check_real(op, val)
+    return val
+
+
+def expectations(state: StateVector, ops) -> list[complex]:
+    """``[expectation(state, op) for op in ops]`` in one grouped pass.
+
+    Operators sharing an x-mask share one flip of the amplitudes
+    (:func:`~semionlab.pauli.pauli_expectations`); the values agree with
+    :func:`expectation` to roundoff, and a Hermitian one that comes out
+    complex raises the same ``AssertionError``.
+    """
+    ops = list(ops)
+    values = pauli_expectations(ops, state.blocks()).tolist()
+    for op, val in zip(ops, values):
+        _check_real(op, val)
+    return values
+
+
+def _check_real(op: PauliString, val: complex) -> None:
+    """Raise if a Hermitian ``op`` has a complex expectation ``val``."""
     if op.is_hermitian() and abs(val.imag) > 1e-12:
         raise AssertionError(
             f"Hermitian expectation came out complex: {val}")
-    return val
 
 
 def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:

@@ -24,9 +24,13 @@ from semionlab.anyons import (
     string_basis_change,
     vortex_map,
 )
-from semionlab.errors import CapacityError
+from semionlab.errors import (
+    CapacityError,
+    DimensionMismatchError,
+    RepresentationError,
+)
 from semionlab.lattice import BLACK, WHITE, build_layout
-from semionlab.pauli import PauliString
+from semionlab.pauli import PauliString, commutes
 from semionlab.states import (
     StateVector,
     apply_pauli,
@@ -76,6 +80,34 @@ class TestVortexMap:
         st = random_state(layout.n_sites, rng=np.random.default_rng(0))
         for w, wt in vortex_map(st, layout).values:
             assert isinstance(w, float) and isinstance(wt, float)
+
+
+class TestPredictedFlips:
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3)])
+    def test_matches_commutes(self, shape):
+        layout = build_layout(*shape)
+        n = layout.n_sites
+        plqs = layout.bond_plaquettes
+        rng = np.random.default_rng(sum(shape))
+        for rep in (None, "honeycomb_spin"):
+            for _ in range(40):
+                op = PauliString(n, int(rng.integers(1 << n)),
+                                 int(rng.integers(1 << n)),
+                                 int(rng.integers(4)), rep)
+                assert predicted_flips(layout, op) == {
+                    "up": tuple(p.index for p in plqs
+                                if not commutes(op, p.up)),
+                    "down": tuple(p.index for p in plqs
+                                  if not commutes(op, p.down))}
+
+    def test_incompatible_operator_raises(self):
+        layout = build_layout(2, 3)
+        with pytest.raises(RepresentationError):
+            predicted_flips(layout,
+                            PauliString.single(layout.n_sites, 0, "X",
+                                               "device"))
+        with pytest.raises(DimensionMismatchError):
+            predicted_flips(layout, PauliString.single(3, 0, "X"))
 
 
 class TestBraidPhase:
@@ -273,6 +305,15 @@ class TestControlledString:
         want = apply_pauli(qubits, u1)
         assert np.allclose(out.blocks()[1], want.amplitudes)
         assert np.allclose(out.blocks()[0], 0)
+
+    @pytest.mark.parametrize("mu, nu", [(1 / math.sqrt(2), 1 / math.sqrt(2)),
+                                        (0.6, 0.8j), (0.28 + 0.96j, 0.0)])
+    def test_superposition_equals_stacked_products(self, mu, nu):
+        qubits = random_state(6, rng=np.random.default_rng(5))
+        st = cavity_superposition(qubits, mu, nu)
+        q = qubits.amplitudes
+        assert st.cavity_dim == 2
+        assert np.array_equal(st.amplitudes, np.concatenate([mu * q, nu * q]))
 
     def test_zero_photon_cavity_untouched(self):
         n = 2

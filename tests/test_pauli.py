@@ -10,7 +10,14 @@ from semionlab.errors import (
     DimensionMismatchError,
     RepresentationError,
 )
-from semionlab.pauli import PauliString, apply_to_amplitudes, commutes, multiply
+from semionlab.pauli import (
+    PauliString,
+    apply_pauli_sum,
+    apply_to_amplitudes,
+    commutes,
+    multiply,
+    pauli_expectations,
+)
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -188,6 +195,81 @@ class TestApplyProperty:
         assert np.max(np.abs(got - want)) < 1e-12
         assert np.linalg.norm(got) == pytest.approx(np.linalg.norm(block),
                                                     abs=0, rel=1e-15)
+
+
+# terms drawn from a small pool of x-masks, so groups of several z-masks
+# under one x-mask are common; random phases give odd-Y (imaginary
+# weight) strings and the coefficients are complex
+pauli_sums = st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, (1 << n) - 1),
+                       st.integers(0, 3)), min_size=1, max_size=8)))
+
+
+class TestPauliSum:
+    @settings(max_examples=150, deadline=None)
+    @given(spec=pauli_sums, lead=st.sampled_from([(), (3,)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_sum(self, spec, lead, seed):
+        n, x_pool, draws = spec
+        rng = np.random.default_rng(seed)
+        terms = [(complex(*rng.standard_normal(2)),
+                  PauliString(n, x_pool[k % len(x_pool)], z, phase))
+                 for k, z, phase in draws]
+        block = rng.standard_normal((*lead, 1 << n)) + \
+            1j * rng.standard_normal((*lead, 1 << n))
+        got = apply_pauli_sum(terms, n, block)
+        want = block @ sum(c * p.to_matrix() for c, p in terms).T
+        assert got.shape == block.shape and got.dtype == complex
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_real_coefficients_on_real_amplitudes(self):
+        ops = [PauliString.parse(t) for t in ("XXZ", "XXI", "IZZ", "YXI")]
+        terms = list(zip((0.5, -1.25, 2.0, 0.75), ops))
+        amps = np.arange(8.0)
+        want = sum(c * apply_to_amplitudes(p, amps) for c, p in terms)
+        assert np.max(np.abs(apply_pauli_sum(terms, 3, amps) - want)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(8,), (3, 8)])
+    def test_empty_sum_is_zero(self, shape):
+        out = apply_pauli_sum([], 3, np.ones(shape, dtype=complex))
+        assert out.shape == shape and out.dtype == complex
+        assert not out.any()
+
+    def test_size_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            apply_pauli_sum([(1.0, PauliString.single(3, 0, "X"))], 3,
+                            np.ones(4))
+        with pytest.raises(DimensionMismatchError):
+            apply_pauli_sum([(1.0, PauliString.single(2, 0, "X"))], 3,
+                            np.ones(8))
+
+
+class TestPauliExpectations:
+    @settings(max_examples=100, deadline=None)
+    @given(spec=pauli_sums, lead=st.sampled_from([(), (3,)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_matrix(self, spec, lead, seed):
+        n, x_pool, draws = spec
+        ops = [PauliString(n, x_pool[k % len(x_pool)], z, phase)
+               for k, z, phase in draws]
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((*lead, 1 << n)) + \
+            1j * rng.standard_normal((*lead, 1 << n))
+        got = pauli_expectations(ops, block)
+        want = [np.vdot(block, block @ p.to_matrix().T) for p in ops]
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_no_operators(self):
+        assert pauli_expectations([], np.ones(4)).shape == (0,)
+
+    def test_size_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            pauli_expectations([PauliString.single(3, 0, "X")], np.ones(4))
+        with pytest.raises(DimensionMismatchError):
+            pauli_expectations([PauliString.single(2, 0, "X"),
+                                PauliString.single(3, 0, "X")], np.ones(4))
 
 
 class TestHermiticity:

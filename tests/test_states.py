@@ -7,10 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import semionlab
+
 from semionlab.errors import (
     DimensionMismatchError,
     ZeroProjectionError,
 )
+from semionlab.anyons import vortex_map
 from semionlab.hamiltonian import build_spin_hamiltonian, spectrum
 from semionlab.lattice import BLACK, WHITE, build_layout
 from semionlab.operators import link_zz_op, z_op
@@ -21,6 +24,7 @@ from semionlab.states import (
     basis_state,
     energy_moments,
     expectation,
+    expectations,
     overlap,
     project_ground,
     random_state,
@@ -204,6 +208,83 @@ class TestExpectationAndOverlap:
             overlap(basis_state(2), basis_state(3))
         with pytest.raises(DimensionMismatchError):
             apply_pauli(basis_state(2), PauliString.single(3, 0, "X"))
+
+
+class TestGroupedExpectations:
+    @pytest.mark.parametrize("cavity_dim", [1, 2, 3])
+    def test_match_one_at_a_time(self, cavity_dim):
+        rng = np.random.default_rng(20 + cavity_dim)
+        layout = build_layout(2, 3)
+        ops = [op for p in layout.bond_plaquettes for op in (p.up, p.down)]
+        ops += [PauliString(layout.n_sites, int(rng.integers(1 << 12)),
+                            int(rng.integers(1 << 12)), int(rng.integers(4)))
+                for _ in range(12)]
+        st = random_state(layout.n_sites, cavity_dim, rng)
+        got = expectations(st, ops)
+        want = [expectation(st, op) for op in ops]
+        assert len(got) == len(ops)
+        assert all(isinstance(v, complex) for v in got)
+        assert np.max(np.abs(np.array(got) - want)) < 1e-12
+
+    def test_non_hermitian_value_passes_through(self):
+        iz = PauliString.single(1, 0, "Z").times_i()
+        assert expectations(basis_state(1), [iz]) == [1j] == \
+            [expectation(basis_state(1), iz)]
+
+    def test_complex_hermitian_value_raises(self, monkeypatch):
+        monkeypatch.setattr(semionlab.states, "pauli_expectations",
+                            lambda ops, amps: np.full(len(ops), 1 + 1e-9j))
+        z = PauliString.single(1, 0, "Z")
+        with pytest.raises(AssertionError, match="came out complex"):
+            expectations(basis_state(1), [z])
+        assert expectations(basis_state(1), [z.times_i()]) == [1 + 1e-9j]
+
+    def test_size_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            expectations(basis_state(2), [PauliString.single(3, 0, "X")])
+
+
+class TestGroupedKernelRouting:
+    """Sum-shaped consumers take one flip per distinct x-mask and make no
+    single-string kernel call."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        calls = {"apply_to_amplitudes": 0, "_flip": []}
+        kernel = semionlab.pauli.apply_to_amplitudes
+        flip = semionlab.pauli._flip
+
+        def counted_kernel(*args):
+            calls["apply_to_amplitudes"] += 1
+            return kernel(*args)
+
+        def counted_flip(tensor, n_sites, x_mask):
+            calls["_flip"].append(x_mask)
+            return flip(tensor, n_sites, x_mask)
+
+        for mod in (semionlab.pauli, semionlab.states, semionlab.anyons,
+                    semionlab.hamiltonian):
+            if hasattr(mod, "apply_to_amplitudes"):
+                monkeypatch.setattr(mod, "apply_to_amplitudes",
+                                    counted_kernel)
+        monkeypatch.setattr(semionlab.pauli, "_flip", counted_flip)
+        return calls
+
+    def test_energy_moments(self, counts):
+        layout = build_layout(2, 4)
+        ham = build_spin_hamiltonian(layout, 1.0, 0.7, 1.3)
+        energy_moments(project_ground(layout), ham)
+        masks = {op.x_mask for _, op in ham.terms}
+        assert counts["apply_to_amplitudes"] == 0
+        assert sorted(counts["_flip"]) == sorted(masks)
+
+    def test_vortex_map(self, counts):
+        layout = build_layout(2, 4)
+        vortex_map(project_ground(layout), layout)
+        masks = {op.x_mask for p in layout.bond_plaquettes
+                 for op in (p.up, p.down)}
+        assert counts["apply_to_amplitudes"] == 0
+        assert sorted(counts["_flip"]) == sorted(masks)
 
 
 class TestStateVectorBasics:
