@@ -31,7 +31,7 @@ from .pauli import (
     PauliString,
     _check_compatible,
     _site_mask,
-    apply_to_amplitudes,
+    apply_pauli_sum,
     commutes,
     multiply,
 )
@@ -306,7 +306,8 @@ def qnd_closed_form_deviation(params: QndParams, n_qubits: int,
     canonical = QndParams.canonical(params.chi, params.sites)
     ones = np.ones(dim)
     closed = np.concatenate([
-        apply_to_amplitudes(qnd_unitary(canonical, n_c, n_qubits), ones)
+        apply_pauli_sum([(1, qnd_unitary(canonical, n_c, n_qubits))],
+                        n_qubits, ones)
         for n_c in range(cavity_dim)])
     return float(np.max(np.abs(exact - closed)))
 
@@ -342,8 +343,9 @@ class ControlledString:
         params = QndParams.canonical(1.0, self.sites)
         blocks = state.blocks().copy()
         for n_c in range(1, state.cavity_dim):
-            blocks[n_c] = apply_to_amplitudes(
-                qnd_unitary(params, n_c, state.n_qubits), blocks[n_c])
+            blocks[n_c] = apply_pauli_sum(
+                [(1, qnd_unitary(params, n_c, state.n_qubits))],
+                state.n_qubits, blocks[n_c])
         return StateVector(state.n_qubits, state.cavity_dim, blocks.ravel())
 
 

@@ -100,23 +100,6 @@ class HamiltonianTerms:
         x-mask; zeros for an empty term list)."""
         return apply_pauli_sum(self.terms, self.n_sites, amps)
 
-    def to_text(self) -> str:
-        lines = [f"{self.rep} {self.n_sites}"]
-        for coeff, op in self.terms:
-            lines.append(f"{coeff!r} {op}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "HamiltonianTerms":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        rep, n = lines[0].split()
-        terms = []
-        for ln in lines[1:]:
-            coeff, prefix, letters = ln.split()
-            terms.append((float(coeff),
-                          PauliString.parse(f"{prefix} {letters}", rep)))
-        return cls(rep, int(n), tuple(terms))
-
 
 def build_spin_hamiltonian(layout: HoneycombLayout, j_up: float,
                            j_down: float, u: float) -> HamiltonianTerms:

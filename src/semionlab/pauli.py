@@ -17,7 +17,7 @@ Conventions shared by every module in this package:
   one machine word on CPython; beyond that the same code path keeps
   functioning with big integers).  A dense matrix has ``4**n_sites``
   entries, so the budget ``errors.DENSE_ELEMENTS`` refuses it above 12
-  sites; the matrix-free :func:`apply_to_amplitudes` has no such limit.
+  sites; the matrix-free :func:`apply_pauli_sum` has no such limit.
 
 PauliString values are immutable after construction and every operation
 here is a pure function, so concurrent read-only use needs no locking.
@@ -143,11 +143,6 @@ class PauliString:
         letters = "".join(self.letter(j) for j in range(self.n_sites))
         prefix = _PHASE_LABEL[(self.phase_exp - _y_count(self)) % 4]
         return f"{prefix} {letters}"
-
-    def render(self) -> str:
-        """Text form, prefixed with the representation tag if present."""
-        body = str(self)
-        return f"{self.rep}:{body}" if self.rep else body
 
     def weight(self) -> int:
         return int.bit_count(self.x_mask | self.z_mask)
@@ -327,77 +322,69 @@ def _half_signs(z_masks, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     return high, low
 
 
-def apply_to_amplitudes(p: PauliString, amps: np.ndarray) -> np.ndarray:
-    """Apply ``p`` to an amplitude array without building the matrix.
-
-    ``amps`` may be 1-D of length ``2**n_sites`` or 2-D with the qubit
-    index as the last axis (used for cavity-tensored registers).  The
-    result is a new complex array of the same shape.
-
-    The amplitudes are viewed as a ``(2,) * n_sites`` tensor, site ``j``
-    on the ``j``-th axis from the end.  The X factors reverse the axes
-    of their sites (a view, no index array), so output index ``t`` reads
-    input index ``t ^ x_mask``.  The sign of that term,
-    ``(-1)**popcount((t ^ x_mask) & z_mask)``, is
-    ``(-1)**popcount(x_mask & z_mask)`` times ``(-1)**popcount(t & z_mask)``,
-    and the second factor splits over the high ``ceil(n/2)`` and low
-    ``floor(n/2)`` bits of ``t``.  One multiply of the reversed view by
-    the high-half signs (with the global phase folded in) writes the
-    output; the low-half signs, if any, follow in place.  No array of
-    length ``2**n_sites`` is built besides the output, and the action
-    only permutes amplitudes and multiplies them by units, so the norm
-    is preserved exactly.  This is the kernel for one string; a weighted
-    sum of strings goes through :func:`apply_pauli_sum`.
-    """
-    n = p.n_sites
-    tensor = _site_tensor(amps, n)
-    flipped = _flip(tensor, n, p.x_mask)
-    lo = n // 2
-    hi = n - lo
-    coeff = _unit(p) * _z_signs(p.z_mask >> lo, hi)
-    out = np.empty(amps.shape, dtype=complex)
-    np.multiply(flipped, coeff.reshape((2,) * hi + (1,) * lo),
-                out=out.reshape(tensor.shape))
-    if p.z_mask & ((1 << lo) - 1):
-        rows = out.reshape(*amps.shape[:-1], 1 << hi, 1 << lo)
-        rows *= _z_signs(p.z_mask, lo)
-    return out
-
-
 def apply_pauli_sum(terms, n_sites: int, amps: np.ndarray) -> np.ndarray:
     """``sum_k c_k P_k amps`` for ``(c_k, P_k)`` pairs, one flip per x-mask.
 
-    ``amps`` is shaped as for :func:`apply_to_amplitudes`, qubit index
-    last, and the result is a new complex array of that shape (zeros for
-    no terms).  Term ``k`` maps input index ``t ^ x_k`` to output index
-    ``t`` with the factor ``w_k (-1)**popcount(t & z_k)``, where
-    ``w_k = c_k i**p_k (-1)**popcount(x_k & z_k)``.  Terms sharing an
-    x-mask share that reversed view, so each group is applied with one
-    multiply by its signed diagonal
-    ``D(t) = sum_k w_k (-1)**popcount(t & z_k)``.  ``D`` is built as the
-    product of the stacked half-register signs,
-    ``(2**hi x K) @ (K x 2**lo)``, so no full-length sign vector is built
-    per term; it is real when every weight is.  The first group writes
-    the output and each later one is added from one reused buffer.
+    ``amps`` may be 1-D of length ``2**n_sites`` or carry lead axes, the
+    qubit index last (a cavity-tensored register is ``(levels, 2**n)``).
+    The result is a new complex array of that shape (zeros for no terms);
+    one string is the one-term sum ``[(1, P)]``.
+
+    The amplitudes are viewed as a ``(2,) * n_sites`` tensor, site ``j``
+    on the ``j``-th axis from the end.  The X factors reverse the axes of
+    their sites (a view, no index array), so output index ``t`` reads
+    input index ``t ^ x_k``, and term ``k`` contributes the factor
+    ``w_k (-1)**popcount(t & z_k)`` with
+    ``w_k = c_k i**p_k (-1)**popcount(x_k & z_k)``.  The sign splits over
+    the high ``hi = ceil(n/2)`` and low ``lo = floor(n/2)`` bits of ``t``.
+    Terms sharing an x-mask share one reversed view:
+
+    * a group of one term multiplies the view by its weighted high-half
+      signs into its target, then the low-half signs, if ``z_k`` has low
+      bits, in place.  A one-term sum thus builds no array of length
+      ``2**n_sites`` besides the output, and since it only permutes
+      amplitudes and multiplies them by units, it keeps the norm of a
+      unit-weight string exactly;
+    * a group of ``K >= 2`` terms multiplies the view by its signed
+      diagonal ``D(t) = sum_k w_k (-1)**popcount(t & z_k)``, built as the
+      product ``(2**hi x K) @ (K x 2**lo)`` of the stacked half-register
+      signs, so no full-length sign vector is built per term; ``D`` is
+      real when every weight is.
+
+    The first group writes the output and each later one is added from
+    one reused buffer.
     """
     terms = list(terms)
     tensor = _site_tensor(amps, n_sites)
-    out = np.zeros(tensor.shape, dtype=complex)
     groups = _by_x_mask([op for _, op in terms], n_sites)
+    # the first group writes every entry, so only an empty sum needs zeros
+    out = (np.empty if groups else np.zeros)(tensor.shape, dtype=complex)
     scratch = np.empty_like(out) if len(groups) > 1 else None
+    lo = n_sites // 2
+    hi = n_sites - lo
     for g, (x_mask, members) in enumerate(groups.items()):
+        target = out if g == 0 else scratch
+        flipped = _flip(tensor, n_sites, x_mask)
         weights = np.array([terms[k][0] * _unit(terms[k][1])
                             for k in members])
-        if not weights.imag.any():
-            weights = weights.real
-        high, low = _half_signs([terms[k][1].z_mask for k in members],
-                                n_sites)
-        diag = ((high.T * weights) @ low).reshape((2,) * n_sites)
-        flipped = _flip(tensor, n_sites, x_mask)
-        if g == 0:
-            np.multiply(flipped, diag, out=out)
+        if len(members) == 1:
+            # the weight stays complex: cut to float, it gives the same
+            # values but can flip the sign bit of zero amplitudes
+            z_mask = terms[members[0]][1].z_mask
+            coeff = weights[0] * _z_signs(z_mask >> lo, hi)
+            np.multiply(flipped, coeff.reshape((2,) * hi + (1,) * lo),
+                        out=target)
+            if z_mask & ((1 << lo) - 1):
+                rows = target.reshape(-1, 1 << hi, 1 << lo)
+                rows *= _z_signs(z_mask, lo)
         else:
-            np.multiply(flipped, diag, out=scratch)
+            if not weights.imag.any():
+                weights = weights.real
+            high, low = _half_signs([terms[k][1].z_mask for k in members],
+                                    n_sites)
+            diag = ((high.T * weights) @ low).reshape((2,) * n_sites)
+            np.multiply(flipped, diag, out=target)
+        if g:
             out += scratch
     return out.reshape(amps.shape)
 
@@ -405,7 +392,7 @@ def apply_pauli_sum(terms, n_sites: int, amps: np.ndarray) -> np.ndarray:
 def pauli_expectations(ops, amps: np.ndarray) -> np.ndarray:
     """``<amps| P |amps>`` for each Pauli string in ``ops``, in order.
 
-    ``amps`` is shaped as for :func:`apply_to_amplitudes`; a lead axis
+    ``amps`` is shaped as for :func:`apply_pauli_sum`; a lead axis
     (the cavity levels) is summed over, and ``amps`` is not normalized
     first.  Operators sharing an x-mask are grouped as in
     :func:`apply_pauli_sum`: each group forms ``conj(amps) * flip(amps)``

@@ -22,7 +22,7 @@ from .lattice import DOWN, UP, HoneycombLayout
 from .pauli import (
     PauliString,
     _gf2_reduce,
-    apply_to_amplitudes,
+    apply_pauli_sum,
     pauli_expectations,
 )
 
@@ -91,11 +91,6 @@ class StateVector:
         return StateVector(self.n_qubits, self.cavity_dim,
                            self.amplitudes * (abs(a) / a))
 
-    def to_table(self) -> list[tuple[int, float, float]]:
-        """Debug snapshot as (basis index, real, imag) rows."""
-        return [(i, float(a.real), float(a.imag))
-                for i, a in enumerate(self.amplitudes) if a != 0]
-
 
 def basis_state(n_qubits: int, bits: int = 0, cavity_dim: int = 1,
                 cavity_level: int = 0) -> StateVector:
@@ -127,10 +122,7 @@ def random_state(n_qubits: int, cavity_dim: int = 1,
 
 def apply_pauli(state: StateVector, op: PauliString) -> StateVector:
     """Apply a Pauli string to the qubit register; cavity factor untouched."""
-    if op.n_sites != state.n_qubits:
-        raise DimensionMismatchError(
-            f"operator on {op.n_sites} sites, register has {state.n_qubits}")
-    out = apply_to_amplitudes(op, state.blocks())
+    out = apply_pauli_sum([(1, op)], state.n_qubits, state.blocks())
     return StateVector(state.n_qubits, state.cavity_dim, out.ravel())
 
 
@@ -218,10 +210,12 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
 
 
 def energy_moments(state: StateVector, ham: HamiltonianTerms) -> tuple[float, float]:
-    """(<H>, variance) for a Hermitian term list."""
+    """(<H>, variance) for a Hermitian term list; the variance is >= 0."""
     if ham.n_sites != state.n_qubits:
         raise DimensionMismatchError("Hamiltonian register mismatch")
     hv = ham.apply(state.blocks()).ravel()
     e = float(np.vdot(state.amplitudes, hv).real)
-    var = float(np.vdot(hv, hv).real) - e * e
+    # a Hermitian operator's variance is >= 0; <H^2> - <H>^2 can round
+    # below zero by O(eps <H^2>), and max(0.0, .) never returns -0.0
+    var = max(0.0, float(np.vdot(hv, hv).real) - e * e)
     return e, var

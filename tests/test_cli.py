@@ -1,6 +1,8 @@
 """Batch front-end: schema validation, verdicts, deterministic output."""
 
 import json
+import math
+import os
 import subprocess
 import sys
 
@@ -129,6 +131,18 @@ class TestGround:
         assert report["degeneracy"] == {"oracle": 8,
                                         "exact_diagonalization": 8,
                                         "predicted": 8}
+
+    def test_variance_never_negative(self, tmp_path):
+        # on one BLAS thread <H^2> - <H>^2 rounds to -2.8e-14 here
+        cfg = write_config(tmp_path, "g.json", {
+            "rows": 2, "cols": 4, "j_up": 0.7, "j_down": 1.3, "u": 0.4})
+        proc = subprocess.run(
+            [sys.executable, "-m", "semionlab.cli", "ground", "--config", cfg],
+            capture_output=True, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+        assert proc.returncode == 0
+        variance = json.loads(proc.stdout)["energy_variance"]
+        assert variance >= 0 and math.copysign(1.0, variance) > 0
 
 
 class TestBraid:

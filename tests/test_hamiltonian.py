@@ -245,17 +245,6 @@ class TestGroundDegeneracy:
             predicted_ground_degeneracy(layout, -1.0, 1.0, 1.0)
 
 
-def test_term_list_text_round_trip():
-    layout = build_layout(1, 2)
-    ham = build_spin_hamiltonian(layout, 1.25, -0.5, 0.75)
-    back = HamiltonianTerms.from_text(ham.to_text())
-    assert back.rep == ham.rep and back.n_sites == ham.n_sites
-    for (c1, p1), (c2, p2) in zip(ham.terms, back.terms):
-        assert c1 == c2
-        assert (p1.x_mask, p1.z_mask, p1.phase_exp) == \
-            (p2.x_mask, p2.z_mask, p2.phase_exp)
-
-
 def test_non_hermitian_term_rejected():
     bad = PauliString.single(2, 0, "Z").times_i()
     with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from semionlab.errors import (
 from semionlab.pauli import (
     PauliString,
     apply_pauli_sum,
-    apply_to_amplitudes,
     commutes,
     multiply,
     pauli_expectations,
@@ -149,13 +148,13 @@ class TestApplyToState:
     def test_x_flips_bit(self):
         amps = np.zeros(8, dtype=complex)
         amps[0] = 1.0
-        out = apply_to_amplitudes(PauliString.single(3, 0, "X"), amps)
+        out = apply_pauli_sum([(1, PauliString.single(3, 0, "X"))], 3, amps)
         assert out[1] == 1.0 and np.count_nonzero(out) == 1
 
     def test_z_phase_on_set_bit(self):
         amps = np.zeros(8, dtype=complex)
         amps[1] = 1.0
-        out = apply_to_amplitudes(PauliString.single(3, 0, "Z"), amps)
+        out = apply_pauli_sum([(1, PauliString.single(3, 0, "Z"))], 3, amps)
         assert out[1] == -1.0
 
     def test_against_dense_oracle_ten_sites(self):
@@ -163,7 +162,7 @@ class TestApplyToState:
         amps = rng.standard_normal(1 << 10) + 1j * rng.standard_normal(1 << 10)
         for _ in range(5):
             p = random_pauli(rng, 10)
-            got = apply_to_amplitudes(p, amps)
+            got = apply_pauli_sum([(1, p)], 10, amps)
             want = p.to_matrix() @ amps
             assert np.max(np.abs(got - want)) < 1e-12
 
@@ -171,7 +170,7 @@ class TestApplyToState:
         rng = np.random.default_rng(12)
         amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         p = random_pauli(rng, 6)
-        out = apply_to_amplitudes(p, amps)
+        out = apply_pauli_sum([(1, p)], 6, amps)
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(amps),
                                                     abs=0, rel=1e-15)
 
@@ -189,7 +188,7 @@ class TestApplyProperty:
         rng = np.random.default_rng(seed)
         block = rng.standard_normal((*lead, 1 << n)) + \
             1j * rng.standard_normal((*lead, 1 << n))
-        got = apply_to_amplitudes(p, block)
+        got = apply_pauli_sum([(1, p)], n, block)
         want = block @ p.to_matrix().T
         assert got.shape == block.shape and got.dtype == complex
         assert np.max(np.abs(got - want)) < 1e-12
@@ -197,26 +196,38 @@ class TestApplyProperty:
                                                     abs=0, rel=1e-15)
 
 
-# terms drawn from a small pool of x-masks, so groups of several z-masks
-# under one x-mask are common; random phases give odd-Y (imaginary
-# weight) strings and the coefficients are complex
+# terms drawn from a small pool of distinct x-masks, so groups of several
+# z-masks under one x-mask are common; random phases give odd-Y
+# (imaginary weight) strings and the coefficients are complex
 pauli_sums = st.integers(1, 7).flatmap(lambda n: st.tuples(
     st.just(n),
-    st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3),
+    st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3,
+             unique=True),
     st.lists(st.tuples(st.integers(0, 2), st.integers(0, (1 << n) - 1),
                        st.integers(0, 3)), min_size=1, max_size=8)))
 
 
 class TestPauliSum:
     @settings(max_examples=150, deadline=None)
-    @given(spec=pauli_sums, lead=st.sampled_from([(), (3,)]),
+    @given(spec=pauli_sums,
+           lone=st.tuples(st.integers(0, 8), st.integers(0, 127),
+                          st.integers(0, 3)),
+           lead=st.sampled_from([(), (3,)]),
            seed=st.integers(0, 2**32 - 1))
-    def test_matches_dense_sum(self, spec, lead, seed):
+    def test_matches_dense_sum(self, spec, lone, lead, seed):
         n, x_pool, draws = spec
         rng = np.random.default_rng(seed)
         terms = [(complex(*rng.standard_normal(2)),
                   PauliString(n, x_pool[k % len(x_pool)], z, phase))
                  for k, z, phase in draws]
+        if len(x_pool) > 1:
+            # one term alone keeps x_pool[0]: a one-member group that comes
+            # first (it writes the output) or later (the reused buffer)
+            at, z, phase = lone
+            terms = [t for t in terms if t[1].x_mask != x_pool[0]]
+            terms.insert(min(at, len(terms)),
+                         (complex(*rng.standard_normal(2)),
+                          PauliString(n, x_pool[0], z % (1 << n), phase)))
         block = rng.standard_normal((*lead, 1 << n)) + \
             1j * rng.standard_normal((*lead, 1 << n))
         got = apply_pauli_sum(terms, n, block)
@@ -228,7 +239,7 @@ class TestPauliSum:
         ops = [PauliString.parse(t) for t in ("XXZ", "XXI", "IZZ", "YXI")]
         terms = list(zip((0.5, -1.25, 2.0, 0.75), ops))
         amps = np.arange(8.0)
-        want = sum(c * apply_to_amplitudes(p, amps) for c, p in terms)
+        want = sum(c * (p.to_matrix() @ amps) for c, p in terms)
         assert np.max(np.abs(apply_pauli_sum(terms, 3, amps) - want)) < 1e-12
 
     @pytest.mark.parametrize("shape", [(8,), (3, 8)])
@@ -299,10 +310,6 @@ class TestTextForm:
             q = PauliString.parse(str(p))
             assert (q.x_mask, q.z_mask, q.phase_exp) == \
                 (p.x_mask, p.z_mask, p.phase_exp)
-
-    def test_rep_prefix(self):
-        p = PauliString.single(2, 0, "X", rep="device")
-        assert p.render() == "device:+ XI"
 
 
 def test_dense_capacity_error():

@@ -17,7 +17,7 @@ from semionlab.anyons import vortex_map
 from semionlab.hamiltonian import build_spin_hamiltonian, spectrum
 from semionlab.lattice import BLACK, WHITE, build_layout
 from semionlab.operators import link_zz_op, z_op
-from semionlab.pauli import PauliString, apply_to_amplitudes, multiply
+from semionlab.pauli import PauliString, apply_pauli_sum, multiply
 from semionlab.states import (
     StateVector,
     apply_pauli,
@@ -66,7 +66,7 @@ def _reference_ground(layout, cavity_dim=1):
     amps = reference_state(layout).amplitudes
     for plq in layout.bond_plaquettes:
         for op in (plq.up, plq.down):
-            amps = amps + apply_to_amplitudes(op, amps)
+            amps = amps + apply_pauli_sum([(1, op)], layout.n_sites, amps)
     qubits = StateVector(layout.n_sites, 1, amps).normalized()
     out = np.zeros(cavity_dim * amps.size, dtype=complex)
     out[:amps.size] = qubits.with_fixed_phase().amplitudes
@@ -158,7 +158,8 @@ class TestProjectGround:
         amps = ground.blocks()
         for plq in layout.bond_plaquettes:
             for op in (plq.up, plq.down):
-                amps = 0.5 * (amps + apply_to_amplitudes(op, amps))
+                amps = 0.5 * (amps + apply_pauli_sum([(1, op)],
+                                                     layout.n_sites, amps))
         again = StateVector(layout.n_sites, 1, amps.ravel())
         fidelity = abs(overlap(ground, again.normalized()))
         assert fidelity == pytest.approx(1.0, abs=1e-12)
@@ -178,7 +179,8 @@ class TestProjectGround:
         state = reference_state(layout)
         op = link_zz_op(layout, 0)
         amps = state.blocks()
-        amps = amps - apply_to_amplitudes(op, amps)  # (1 - ZZ) on ZZ=+1
+        # (1 - ZZ) on ZZ=+1
+        amps = amps - apply_pauli_sum([(1, op)], layout.n_sites, amps)
         flat = StateVector(layout.n_sites, 1, amps.ravel())
         with pytest.raises(ZeroProjectionError):
             flat.normalized()
@@ -245,29 +247,26 @@ class TestGroupedExpectations:
 
 
 class TestGroupedKernelRouting:
-    """Sum-shaped consumers take one flip per distinct x-mask and make no
-    single-string kernel call."""
+    """Every consumer takes one flip per distinct x-mask; a one-term group
+    skips the stacked half-register signs."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        calls = {"apply_to_amplitudes": 0, "_flip": []}
-        kernel = semionlab.pauli.apply_to_amplitudes
+        calls = {"_flip": [], "_half_signs": 0}
         flip = semionlab.pauli._flip
-
-        def counted_kernel(*args):
-            calls["apply_to_amplitudes"] += 1
-            return kernel(*args)
+        half_signs = semionlab.pauli._half_signs
 
         def counted_flip(tensor, n_sites, x_mask):
             calls["_flip"].append(x_mask)
             return flip(tensor, n_sites, x_mask)
 
-        for mod in (semionlab.pauli, semionlab.states, semionlab.anyons,
-                    semionlab.hamiltonian):
-            if hasattr(mod, "apply_to_amplitudes"):
-                monkeypatch.setattr(mod, "apply_to_amplitudes",
-                                    counted_kernel)
+        def counted_half_signs(z_masks, n_sites):
+            calls["_half_signs"] += 1
+            return half_signs(z_masks, n_sites)
+
         monkeypatch.setattr(semionlab.pauli, "_flip", counted_flip)
+        monkeypatch.setattr(semionlab.pauli, "_half_signs",
+                            counted_half_signs)
         return calls
 
     def test_energy_moments(self, counts):
@@ -275,7 +274,6 @@ class TestGroupedKernelRouting:
         ham = build_spin_hamiltonian(layout, 1.0, 0.7, 1.3)
         energy_moments(project_ground(layout), ham)
         masks = {op.x_mask for _, op in ham.terms}
-        assert counts["apply_to_amplitudes"] == 0
         assert sorted(counts["_flip"]) == sorted(masks)
 
     def test_vortex_map(self, counts):
@@ -283,8 +281,12 @@ class TestGroupedKernelRouting:
         vortex_map(project_ground(layout), layout)
         masks = {op.x_mask for p in layout.bond_plaquettes
                  for op in (p.up, p.down)}
-        assert counts["apply_to_amplitudes"] == 0
         assert sorted(counts["_flip"]) == sorted(masks)
+
+    def test_apply_pauli(self, counts):
+        st = random_state(8, cavity_dim=2, rng=np.random.default_rng(9))
+        apply_pauli(st, PauliString(8, 0b10110001, 0b01100111, 1))
+        assert counts == {"_flip": [0b10110001], "_half_signs": 0}
 
 
 class TestStateVectorBasics:
@@ -302,10 +304,6 @@ class TestStateVectorBasics:
         k = int(np.argmax(np.abs(fixed.amplitudes)))
         assert fixed.amplitudes[k].imag == pytest.approx(0.0)
         assert fixed.amplitudes[k].real > 0
-
-    def test_snapshot_table(self):
-        st = basis_state(2, bits=2)
-        assert st.to_table() == [(2, 1.0, 0.0)]
 
     def test_norm_preserved_under_pauli(self):
         rng = np.random.default_rng(8)
