@@ -35,7 +35,15 @@ from .pauli import (
     commutes,
     multiply,
 )
-from .states import StateVector, apply_pauli, expectations, overlap
+from .states import (
+    StateVector,
+    _cavity_block,
+    _on_support,
+    _pauli_images,
+    apply_pauli,
+    expectations,
+    overlap,
+)
 
 __all__ = [
     "StringSpec",
@@ -121,10 +129,12 @@ class VortexMap:
 
 
 def vortex_map(state: StateVector, layout: HoneycombLayout) -> VortexMap:
-    """Expectations of every plaquette operator pair on a dense state.
+    """Expectations of every plaquette operator pair.
 
-    The up and down stabilizer of a plaquette share an x-mask, so
-    :func:`~semionlab.states.expectations` reads each pair from one flip.
+    Each value is the overlap of the state with its image under the
+    operator (:func:`~semionlab.states.expectations`), so the work is
+    proportional to the state's support: 64 entries for the 3x3 ground
+    state.
     """
     plqs = layout.bond_plaquettes
     values = expectations(state, [op for p in plqs for op in (p.up, p.down)])
@@ -243,6 +253,8 @@ class QndParams:
 
     @classmethod
     def canonical(cls, chi: float, sites) -> "QndParams":
+        if chi == 0:
+            raise ValueError(f"chi must be nonzero, got {chi}")
         return cls(chi, math.pi / (2 * chi), tuple(sites))
 
     @property
@@ -336,17 +348,22 @@ class ControlledString:
         Sector ``n_c`` receives ``qnd_unitary(..., n_c, ...)``, the
         ``n_c``-th power of the one-photon unitary, which reproduces the
         exact dispersive evolution at the canonical time for every
-        truncation level in one application per sector.
+        truncation level in one application per sector.  That unitary is
+        diagonal, so each entry of the sector keeps its basis index and
+        is multiplied by a unit.
         """
         if state.cavity_dim < 2:
             raise CapacityError("controlled string needs a cavity register")
         params = QndParams.canonical(1.0, self.sites)
-        blocks = state.blocks().copy()
+        n = state.n_qubits
+        level = state.index >> n
+        values = state.values.copy()
         for n_c in range(1, state.cavity_dim):
-            blocks[n_c] = apply_pauli_sum(
-                [(1, qnd_unitary(params, n_c, state.n_qubits))],
-                state.n_qubits, blocks[n_c])
-        return StateVector(state.n_qubits, state.cavity_dim, blocks.ravel())
+            sector = level == n_c
+            _, factor = _pauli_images([(1, qnd_unitary(params, n_c, n))], n,
+                                      state.index[sector])
+            values[sector] *= factor[0]
+        return _on_support(n, state.cavity_dim, state.index, values)
 
 
 def cavity_superposition(qubit_state: StateVector, mu: complex,
@@ -354,11 +371,10 @@ def cavity_superposition(qubit_state: StateVector, mu: complex,
     """Tensor a (mu |0> + nu |1>) cavity factor onto a qubit register."""
     if qubit_state.cavity_dim != 1:
         raise DimensionMismatchError("qubit state already carries a cavity")
-    q = qubit_state.amplitudes
-    amps = np.empty((2, q.size), dtype=complex)
-    np.multiply(mu, q, out=amps[0])
-    np.multiply(nu, q, out=amps[1])
-    return StateVector(qubit_state.n_qubits, 2, amps.ravel())
+    index, q = qubit_state.index, qubit_state.values
+    return _on_support(qubit_state.n_qubits, 2,
+                       np.concatenate((index, index + qubit_state.qubit_dim)),
+                       np.concatenate((mu * q, nu * q)))
 
 
 # -- basis changes ------------------------------------------------------
@@ -427,19 +443,17 @@ def interferometry_run(layout: HoneycombLayout, state: StateVector,
 def _zero_photon_readout(state: StateVector,
                          sites) -> tuple[StateVector, ReadoutRecord]:
     """Normalized zero-photon block of ``state`` and its readout."""
-    qubit_block = state.blocks()[0]
-    nrm = np.linalg.norm(qubit_block)
-    if nrm < 1e-12:
+    qubits = _cavity_block(state, 0)
+    if qubits.norm() < 1e-12:
         raise ValueError("zero-photon block is empty; nothing to read out")
-    qubits = StateVector(state.n_qubits, 1, qubit_block / nrm)
+    qubits = qubits.normalized()
 
     s = 1.0 / math.sqrt(2.0)
     prepared = cavity_superposition(qubits, s, s)
     gate = ControlledString(s, s, tuple(sites))
     evolved = gate.apply(prepared)
 
-    blocks = evolved.blocks()
-    coherence = complex(np.vdot(blocks[0], blocks[1]))
+    coherence = overlap(_cavity_block(evolved, 0), _cavity_block(evolved, 1))
     n = len(set(sites))
     inferred = 2.0 * coherence * (1j ** n)   # divide out the (-i)**N phase
     return qubits, ReadoutRecord(coherence.real, coherence.imag,
@@ -462,7 +476,7 @@ def jc_swap(state: StateVector, omega: float, t: float,
         raise CapacityError("exchange evolution needs a cavity register")
     if not 0 <= qubit < state.n_qubits:
         raise DimensionMismatchError(f"qubit {qubit} outside register")
-    blocks = state.blocks().copy()
+    blocks = state.blocks()
     dim = state.qubit_dim
     bit = 1 << qubit
     excited = np.flatnonzero(np.arange(dim) & bit)

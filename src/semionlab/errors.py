@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the dense-capacity budget."""
 
-# Most elements one dense array may hold (2**24 amplitudes, or a 12-qubit
-# matrix); every size check in the package compares against this number.
+# Most elements one array may hold (2**24 amplitudes or support entries,
+# or a 12-qubit matrix); every size check in the package compares against
+# this number.
 DENSE_ELEMENTS = 1 << 24
 
 
@@ -18,7 +19,8 @@ class RepresentationError(SemionLabError):
 
 
 class CapacityError(SemionLabError):
-    """A dense construction was requested above ``DENSE_ELEMENTS``."""
+    """A construction was requested above ``DENSE_ELEMENTS``, or a register
+    whose basis indices do not fit 64 bits."""
 
 
 def _require_capacity(count: int, what: str) -> int:

@@ -388,34 +388,3 @@ def apply_pauli_sum(terms, n_sites: int, amps: np.ndarray) -> np.ndarray:
             out += scratch
     return out.reshape(amps.shape)
 
-
-def pauli_expectations(ops, amps: np.ndarray) -> np.ndarray:
-    """``<amps| P |amps>`` for each Pauli string in ``ops``, in order.
-
-    ``amps`` is shaped as for :func:`apply_pauli_sum`; a lead axis
-    (the cavity levels) is summed over, and ``amps`` is not normalized
-    first.  Operators sharing an x-mask are grouped as in
-    :func:`apply_pauli_sum`: each group forms ``conj(amps) * flip(amps)``
-    once, as one ``2**hi x 2**lo`` matrix ``M_c`` per lead index ``c``,
-    and the value of member ``k`` is ``w_k sum_c (h_k^T M_c) l_k`` with
-    ``w_k = i**p_k (-1)**popcount(x_k & z_k)`` and ``h_k``, ``l_k`` its
-    half-register signs (the lead sum comes after the product with
-    ``h_k``, so no second full-length array is formed).  The result is a
-    complex array.
-    """
-    ops = list(ops)
-    values = np.empty(len(ops), dtype=complex)
-    if not ops:
-        return values
-    n = ops[0].n_sites
-    tensor = _site_tensor(amps, n)
-    bra = np.conj(tensor)
-    prod = np.empty(tensor.shape, dtype=complex)
-    lo = n // 2
-    rows = prod.reshape(-1, 1 << (n - lo), 1 << lo)
-    for x_mask, members in _by_x_mask(ops, n).items():
-        np.multiply(bra, _flip(tensor, n, x_mask), out=prod)
-        high, low = _half_signs([ops[k].z_mask for k in members], n)
-        sums = np.einsum("ckl,kl->k", high @ rows, low)
-        values[members] = [_unit(ops[k]) for k in members] * sums
-    return values

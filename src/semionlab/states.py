@@ -1,9 +1,17 @@
-"""Dense state vectors over a qubit register tensored with a cavity mode.
+"""State vectors over a qubit register tensored with a cavity mode.
 
-Basis order is cavity-index major, qubit bits minor: amplitude index
-``n_c * 2**n_qubits + bits``.  ``cavity_dim = 1`` means no cavity.
-State values are treated as immutable; every operation returns a new
-vector, so concurrent read-only use is safe.
+A state is held on its support: sorted, unique int64 basis indices and
+one complex amplitude per index, every other amplitude zero.  The index
+order is cavity-index major, qubit bits minor: ``n_c * 2**n_qubits +
+bits``.  ``cavity_dim = 1`` means no cavity.  A state built from a dense
+amplitude vector holds the whole index range.  The plaquette ground state
+holds only its ``2**rank`` nonzero amplitudes, and so does every Pauli
+string applied to it: a string maps each index to one index, so no
+operation here builds an array of ``2**n_qubits`` entries for it.
+``amplitudes`` and ``blocks()`` scatter a state into the dense form,
+checked against the dense budget.  State values are treated as
+immutable; every operation returns a new state, so concurrent read-only
+use is safe.
 """
 
 from __future__ import annotations
@@ -13,18 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CapacityError,
     DimensionMismatchError,
     ZeroProjectionError,
     _require_capacity,
 )
 from .hamiltonian import HamiltonianTerms
 from .lattice import DOWN, UP, HoneycombLayout
-from .pauli import (
-    PauliString,
-    _gf2_reduce,
-    apply_pauli_sum,
-    pauli_expectations,
-)
+from .pauli import PauliString, _gf2_reduce
 
 __all__ = [
     "StateVector",
@@ -40,56 +44,127 @@ __all__ = [
 ]
 
 
-def _amplitude_count(n_qubits: int, cavity_dim: int) -> int:
-    """Amplitudes of a cavity (x) qubit register, checked before allocation."""
+def _check_register(n_qubits: int, cavity_dim: int) -> None:
+    """Raise unless every basis index of the register fits an int64."""
     if cavity_dim < 1:
         raise DimensionMismatchError("cavity_dim must be >= 1")
-    return _require_capacity(cavity_dim * (1 << n_qubits),
-                             f"state over {cavity_dim} x 2**{n_qubits}")
+    if cavity_dim << n_qubits >= 1 << 63:
+        raise CapacityError(f"basis indices of {cavity_dim} x 2**{n_qubits} "
+                            "states do not fit 64 bits")
 
 
-@dataclass(frozen=True)
+def _amplitude_count(n_qubits: int, cavity_dim: int) -> int:
+    """Amplitudes of a cavity (x) qubit register, checked before allocation."""
+    count = _require_capacity(cavity_dim << n_qubits,
+                              f"state over {cavity_dim} x 2**{n_qubits}")
+    _check_register(n_qubits, cavity_dim)
+    return count
+
+
+@dataclass(frozen=True, init=False)
 class StateVector:
-    """Complex amplitudes over cavity (x) qubits."""
+    """Complex amplitudes over cavity (x) qubits, held on their support.
+
+    ``index`` holds sorted, unique int64 basis indices and ``values`` the
+    amplitude at each.  The constructor takes the dense amplitude vector
+    of length ``cavity_dim * 2**n_qubits`` and holds the whole range.
+    """
 
     n_qubits: int
     cavity_dim: int
-    amplitudes: np.ndarray
+    index: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        expected = _amplitude_count(self.n_qubits, self.cavity_dim)
-        amps = np.asarray(self.amplitudes, dtype=complex)
+    def __init__(self, n_qubits: int, cavity_dim: int, amplitudes):
+        expected = _amplitude_count(n_qubits, cavity_dim)
+        amps = np.asarray(amplitudes, dtype=complex)
         if amps.shape != (expected,):
             raise DimensionMismatchError(
                 f"expected {expected} amplitudes, got {amps.shape}")
-        object.__setattr__(self, "amplitudes", amps)
+        _hold(self, n_qubits, cavity_dim,
+              np.arange(expected, dtype=np.int64), amps)
 
     @property
     def qubit_dim(self) -> int:
         return 1 << self.n_qubits
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The dense amplitude vector, scattered from the support."""
+        out = np.zeros(_amplitude_count(self.n_qubits, self.cavity_dim),
+                       dtype=complex)
+        out[self.index] = self.values
+        return out
+
     def blocks(self) -> np.ndarray:
-        """View shaped (cavity_dim, 2**n_qubits)."""
+        """Dense amplitudes shaped (cavity_dim, 2**n_qubits)."""
         return self.amplitudes.reshape(self.cavity_dim, self.qubit_dim)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.values))
 
     def normalized(self) -> "StateVector":
         n = self.norm()
         if n == 0.0:
             raise ZeroProjectionError("cannot normalize the zero vector")
-        return StateVector(self.n_qubits, self.cavity_dim,
-                           self.amplitudes / n)
+        return _on_support(self.n_qubits, self.cavity_dim, self.index,
+                           self.values / n)
 
     def with_fixed_phase(self) -> "StateVector":
-        """Rotate the global phase so the largest amplitude is real positive."""
-        k = int(np.argmax(np.abs(self.amplitudes)))
-        a = self.amplitudes[k]
+        """Rotate the global phase so the largest amplitude is real positive.
+
+        Of several largest amplitudes, the one at the lowest index counts.
+        """
+        a = self.values[int(np.argmax(np.abs(self.values)))]
         if a == 0:
             return self
-        return StateVector(self.n_qubits, self.cavity_dim,
-                           self.amplitudes * (abs(a) / a))
+        return _on_support(self.n_qubits, self.cavity_dim, self.index,
+                           self.values * (abs(a) / a))
+
+
+def _hold(state: StateVector, n_qubits: int, cavity_dim: int,
+          index: np.ndarray, values: np.ndarray) -> None:
+    for name, value in (("n_qubits", n_qubits), ("cavity_dim", cavity_dim),
+                        ("index", index), ("values", values)):
+        object.__setattr__(state, name, value)
+
+
+def _on_support(n_qubits: int, cavity_dim: int, index: np.ndarray,
+                values: np.ndarray) -> StateVector:
+    """The state with ``values`` at the sorted, unique basis ``index``."""
+    _check_register(n_qubits, cavity_dim)
+    state = object.__new__(StateVector)
+    _hold(state, n_qubits, cavity_dim, index, values)
+    return state
+
+
+def _cavity_block(state: StateVector, n_c: int) -> StateVector:
+    """The ``n_c``-photon block of ``state``, as a state with no cavity."""
+    base = n_c << state.n_qubits
+    lo, hi = np.searchsorted(state.index, (base, base + state.qubit_dim))
+    return _on_support(state.n_qubits, 1, state.index[lo:hi] - base,
+                       state.values[lo:hi])
+
+
+def _pauli_images(terms, n_qubits: int,
+                  index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each ``(c, P)`` of ``terms`` sends each basis index, and the factor.
+
+    ``P = i**p X(x) Z(z)`` maps basis index ``t`` to ``t ^ x`` with the
+    factor ``c i**p (-1)**popcount(t & z)``.  ``x`` and ``z`` act on the
+    qubit bits only, so a cavity level stays put.  Both results are
+    ``(len(terms), index.size)`` arrays, row ``k`` for term ``k``; the
+    image indices are not sorted.
+    """
+    for _, op in terms:
+        if op.n_sites != n_qubits:
+            raise DimensionMismatchError(
+                f"operator on {op.n_sites} sites, register has {n_qubits}")
+    x = np.array([op.x_mask for _, op in terms], dtype=np.int64)
+    z = np.array([op.z_mask for _, op in terms], dtype=np.int64)
+    w = np.array([c * 1j ** op.phase_exp for c, op in terms], dtype=complex)
+    odd = np.bitwise_count(index & z[:, None]) & 1
+    return index ^ x[:, None], w[:, None] * (1.0 - 2.0 * odd)
 
 
 def basis_state(n_qubits: int, bits: int = 0, cavity_dim: int = 1,
@@ -121,44 +196,41 @@ def random_state(n_qubits: int, cavity_dim: int = 1,
 
 
 def apply_pauli(state: StateVector, op: PauliString) -> StateVector:
-    """Apply a Pauli string to the qubit register; cavity factor untouched."""
-    out = apply_pauli_sum([(1, op)], state.n_qubits, state.blocks())
-    return StateVector(state.n_qubits, state.cavity_dim, out.ravel())
+    """Apply a Pauli string to the qubit register; cavity factor untouched.
+
+    Each entry moves to its image index (see :func:`_pauli_images`) and
+    is multiplied by a unit, so the values stay exact; the images are then
+    sorted.
+    """
+    index, factor = _pauli_images([(1, op)], state.n_qubits, state.index)
+    order = np.argsort(index[0])
+    return _on_support(state.n_qubits, state.cavity_dim, index[0][order],
+                       (factor[0] * state.values)[order])
 
 
 def overlap(u: StateVector, v: StateVector) -> complex:
+    """``<u|v>``: ``v``'s indices are looked up in ``u``'s sorted ones, and
+    the entries both supports hold are summed in index order."""
     if (u.n_qubits, u.cavity_dim) != (v.n_qubits, v.cavity_dim):
         raise DimensionMismatchError("state dimensions differ")
-    return complex(np.vdot(u.amplitudes, v.amplitudes))
+    pos = np.searchsorted(u.index, v.index)
+    hit = pos < u.index.size
+    hit[hit] = u.index[pos[hit]] == v.index[hit]
+    return complex(np.vdot(u.values[pos[hit]], v.values[hit]))
 
 
 def expectation(state: StateVector, op: PauliString) -> complex:
     """<state| op |state>; real up to 1e-12 for Hermitian operators."""
     val = overlap(state, apply_pauli(state, op))
-    _check_real(op, val)
+    if op.is_hermitian() and abs(val.imag) > 1e-12:
+        raise AssertionError(
+            f"Hermitian expectation came out complex: {val}")
     return val
 
 
 def expectations(state: StateVector, ops) -> list[complex]:
-    """``[expectation(state, op) for op in ops]`` in one grouped pass.
-
-    Operators sharing an x-mask share one flip of the amplitudes
-    (:func:`~semionlab.pauli.pauli_expectations`); the values agree with
-    :func:`expectation` to roundoff, and a Hermitian one that comes out
-    complex raises the same ``AssertionError``.
-    """
-    ops = list(ops)
-    values = pauli_expectations(ops, state.blocks()).tolist()
-    for op, val in zip(ops, values):
-        _check_real(op, val)
-    return values
-
-
-def _check_real(op: PauliString, val: complex) -> None:
-    """Raise if a Hermitian ``op`` has a complex expectation ``val``."""
-    if op.is_hermitian() and abs(val.imag) > 1e-12:
-        raise AssertionError(
-            f"Hermitian expectation came out complex: {val}")
+    """``[expectation(state, op) for op in ops]``."""
+    return [expectation(state, op) for op in ops]
 
 
 def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
@@ -167,54 +239,74 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
     The result is ``(1 + W)`` for the up- and down-family operator of
     every bond plaquette, in that order, applied to the reference state
     and normalized: a +1 eigenstate of every plaquette operator and of
-    every link ZZ.  It is built on its support only.  Starting from basis
+    every link ZZ.  It is built and returned on its support, in the
+    zero-photon block; every other block is zero.  Starting from basis
     index 0, each ``W = i**p X(x) Z(z)`` maps basis index ``t`` to
     ``t ^ x`` with the factor ``i**p (-1)**popcount(t & z)``.  If ``x``
     is outside the GF(2) span of the x-masks so far, the image is new
     and the support doubles; otherwise ``W`` permutes the support and its
-    image is added in place.  A projection that annihilates the state
-    would signal an inconsistent sign convention and raises instead of
-    silently renormalizing.  The phase is fixed as
-    :meth:`StateVector.with_fixed_phase` fixes it, and the support is
-    scattered once into the zero-photon block; every other block is zero.
-    The tests keep the full-register projection loop as the reference.
+    image is added in place.  So the support has ``2**rank`` entries,
+    ``rank`` that of the plaquette x-masks, and that count is checked
+    against the budget before any array is built.  A projection that
+    annihilates the state would signal an inconsistent sign convention
+    and raises instead of silently renormalizing.  The phase is fixed by
+    :meth:`StateVector.with_fixed_phase`.  The tests keep the
+    full-register projection loop as the reference.
     """
-    size = _amplitude_count(layout.n_sites, cavity_dim)
+    _check_register(layout.n_sites, cavity_dim)
+    steps = [(plq, family, op) for plq in layout.bond_plaquettes
+             for family, op in ((UP, plq.up), (DOWN, plq.down))]
+    # echelon x-masks; dep bit k is the k-th x-mask that doubled the
+    # support, and idx[j] is the XOR of the x-masks whose bits j sets;
+    # a step's dep is None when its x-mask doubles the support
+    rows: list[tuple[int, int]] = []
+    deps: list[int | None] = []
+    for _, _, op in steps:
+        x, dep = _gf2_reduce(op.x_mask, rows)
+        if x:
+            rows.append((x, dep ^ (1 << len(rows))))
+        deps.append(None if x else dep)
+    _require_capacity(1 << len(rows),
+                      f"ground-state support of 2**{len(rows)} entries")
     idx = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=complex)
-    # echelon x-masks; dep bit k is the k-th x-mask that doubled the
-    # support, and idx[j] is the XOR of the x-masks whose bits j sets
-    rows: list[tuple[int, int]] = []
-    for plq in layout.bond_plaquettes:
-        for family, op in ((UP, plq.up), (DOWN, plq.down)):
-            signs = 1.0 - 2.0 * (np.bitwise_count(idx & op.z_mask) & 1)
-            image = (1j ** op.phase_exp * signs) * vals
-            x, dep = _gf2_reduce(op.x_mask, rows)
-            if x:
-                rows.append((x, dep ^ (1 << len(rows))))
-                idx = np.concatenate((idx, idx ^ op.x_mask))
-                vals = np.concatenate((vals, image))
-            else:
-                vals = vals + image[np.arange(vals.size) ^ dep]
-                if not np.any(vals):
-                    raise ZeroProjectionError(
-                        f"plaquette {plq.index} ({family}) "
-                        "annihilated the state")
-    vals = vals / float(np.linalg.norm(vals))
-    modulus = np.abs(vals)
-    top = np.flatnonzero(modulus == modulus.max())
-    lead = vals[top[np.argmin(idx[top])]]
-    out = np.zeros(size, dtype=complex)
-    out[idx] = vals * (abs(lead) / lead)
-    return StateVector(layout.n_sites, cavity_dim, out)
+    for (plq, family, op), dep in zip(steps, deps):
+        signs = 1.0 - 2.0 * (np.bitwise_count(idx & op.z_mask) & 1)
+        image = (1j ** op.phase_exp * signs) * vals
+        if dep is None:
+            idx = np.concatenate((idx, idx ^ op.x_mask))
+            vals = np.concatenate((vals, image))
+        else:
+            vals = vals + image[np.arange(vals.size) ^ dep]
+            if not np.any(vals):
+                raise ZeroProjectionError(
+                    f"plaquette {plq.index} ({family}) "
+                    "annihilated the state")
+    order = np.argsort(idx)
+    ground = _on_support(layout.n_sites, cavity_dim, idx[order], vals[order])
+    return ground.normalized().with_fixed_phase()
 
 
 def energy_moments(state: StateVector, ham: HamiltonianTerms) -> tuple[float, float]:
-    """(<H>, variance) for a Hermitian term list; the variance is >= 0."""
+    """(<H>, variance) for a Hermitian term list; the variance is >= 0.
+
+    ``H|state>`` is built on its support: the images of every term (see
+    :func:`_pauli_images`), concatenated and summed per distinct index.
+    Their count, terms times support entries, is checked against the
+    budget first.
+    """
     if ham.n_sites != state.n_qubits:
         raise DimensionMismatchError("Hamiltonian register mismatch")
-    hv = ham.apply(state.blocks()).ravel()
-    e = float(np.vdot(state.amplitudes, hv).real)
+    _require_capacity(len(ham.terms) * state.values.size,
+                      f"images of {len(ham.terms)} terms on "
+                      f"{state.values.size} entries")
+    images, factor = _pauli_images(ham.terms, state.n_qubits, state.index)
+    index, where = np.unique(images.ravel(), return_inverse=True)
+    image = (factor * state.values).ravel()
+    hv = (np.bincount(where, image.real, index.size)
+          + 1j * np.bincount(where, image.imag, index.size))
+    e = overlap(state, _on_support(state.n_qubits, state.cavity_dim,
+                                   index, hv)).real
     # a Hermitian operator's variance is >= 0; <H^2> - <H>^2 can round
     # below zero by O(eps <H^2>), and max(0.0, .) never returns -0.0
     var = max(0.0, float(np.vdot(hv, hv).real) - e * e)

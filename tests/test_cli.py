@@ -161,6 +161,22 @@ class TestBraid:
         assert report["state_phase"][0] == pytest.approx(-1.0, abs=1e-10)
         assert report["agree"] is True
 
+    def test_state_check_past_the_dense_budget(self, tmp_path, capsys):
+        # 4x4 has 32 qubits; the ground state has 4,096 support entries
+        cfg = write_config(tmp_path, "b.json", {
+            "rows": 4, "cols": 4,
+            "loop": {"family": "z", "sites": [[5, "black"], [5, "white"],
+                                              [6, "black"], [6, "white"]]},
+            "crossing": {"family": "x", "sites": [[5, "black"]]},
+            "state_check": True,
+        })
+        code, out, _ = run(["braid", "--config", cfg], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["operator_phase"] == -1.0
+        assert report["state_phase"][0] == pytest.approx(-1.0, abs=1e-10)
+        assert report["agree"] is True
+
     def test_null_string_plus_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "b.json", {
             "rows": 1, "cols": 2,
@@ -193,6 +209,19 @@ class TestQnd:
         assert report["canonical_time"] is False
         assert report["closed_form_deviation"] > 0.1
 
+
+    def test_zero_chi_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "q.json",
+                           {"n_qubits": 3, "sites": [0], "chi": 0})
+        code, out, err = run(["qnd", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: chi must be nonzero, got 0.0\n"
+        proc = subprocess.run(
+            [sys.executable, "-m", "semionlab.cli", "qnd", "--config", cfg],
+            capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "chi" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_site_outside_register_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "q.json",

@@ -15,7 +15,6 @@ from semionlab.pauli import (
     apply_pauli_sum,
     commutes,
     multiply,
-    pauli_expectations,
 )
 
 I2 = np.eye(2)
@@ -255,32 +254,6 @@ class TestPauliSum:
         with pytest.raises(DimensionMismatchError):
             apply_pauli_sum([(1.0, PauliString.single(2, 0, "X"))], 3,
                             np.ones(8))
-
-
-class TestPauliExpectations:
-    @settings(max_examples=100, deadline=None)
-    @given(spec=pauli_sums, lead=st.sampled_from([(), (3,)]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_matches_dense_matrix(self, spec, lead, seed):
-        n, x_pool, draws = spec
-        ops = [PauliString(n, x_pool[k % len(x_pool)], z, phase)
-               for k, z, phase in draws]
-        rng = np.random.default_rng(seed)
-        block = rng.standard_normal((*lead, 1 << n)) + \
-            1j * rng.standard_normal((*lead, 1 << n))
-        got = pauli_expectations(ops, block)
-        want = [np.vdot(block, block @ p.to_matrix().T) for p in ops]
-        assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_no_operators(self):
-        assert pauli_expectations([], np.ones(4)).shape == (0,)
-
-    def test_size_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            pauli_expectations([PauliString.single(3, 0, "X")], np.ones(4))
-        with pytest.raises(DimensionMismatchError):
-            pauli_expectations([PauliString.single(2, 0, "X"),
-                                PauliString.single(3, 0, "X")], np.ones(4))
 
 
 class TestHermiticity:

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,10 +11,19 @@ import pytest
 import semionlab
 
 from semionlab.errors import (
+    CapacityError,
     DimensionMismatchError,
     ZeroProjectionError,
 )
-from semionlab.anyons import vortex_map
+from semionlab.anyons import (
+    QndParams,
+    StringSpec,
+    braid_phase,
+    braid_phase_on_state,
+    interferometry_run,
+    qnd_unitary,
+    vortex_map,
+)
 from semionlab.hamiltonian import build_spin_hamiltonian, spectrum
 from semionlab.lattice import BLACK, WHITE, build_layout
 from semionlab.operators import link_zz_op, z_op
@@ -122,11 +132,11 @@ class TestProjectGround:
         project_ground(layout, cavity_dim)
         tracemalloc.start()
         try:
-            ground = project_ground(layout, cavity_dim)
+            project_ground(layout, cavity_dim)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < ground.amplitudes.nbytes + (1 << 20)
+        assert peak < 1 << 20
 
     def test_all_plaquette_expectations_plus_one(self):
         layout = build_layout(2, 3)
@@ -234,8 +244,8 @@ class TestGroupedExpectations:
             [expectation(basis_state(1), iz)]
 
     def test_complex_hermitian_value_raises(self, monkeypatch):
-        monkeypatch.setattr(semionlab.states, "pauli_expectations",
-                            lambda ops, amps: np.full(len(ops), 1 + 1e-9j))
+        monkeypatch.setattr(semionlab.states, "overlap",
+                            lambda u, v: 1 + 1e-9j)
         z = PauliString.single(1, 0, "Z")
         with pytest.raises(AssertionError, match="came out complex"):
             expectations(basis_state(1), [z])
@@ -246,47 +256,172 @@ class TestGroupedExpectations:
             expectations(basis_state(2), [PauliString.single(3, 0, "X")])
 
 
-class TestGroupedKernelRouting:
-    """Every consumer takes one flip per distinct x-mask; a one-term group
-    skips the stacked half-register signs."""
+class TestSupportAllocations:
+    """On the 3x3 ground state (64 support entries of 2**18) every
+    consumer works on the support; one dense vector would be 4 MiB."""
 
-    @pytest.fixture
-    def counts(self, monkeypatch):
-        calls = {"_flip": [], "_half_signs": 0}
-        flip = semionlab.pauli._flip
-        half_signs = semionlab.pauli._half_signs
+    @pytest.mark.parametrize("name", ["vortex_map", "energy_moments",
+                                      "braid_phase_on_state", "expectation",
+                                      "interferometry_run"])
+    def test_ground_state_op_peaks_under_one_mib(self, name):
+        layout = build_layout(3, 3)
+        ground = project_ground(layout)
+        hexagon = layout.complete_plaquettes()[0]
+        loop = StringSpec.z_string(layout, hexagon)
+        crossing = StringSpec.x_string(layout, [hexagon[0], 17])
+        call = {
+            "vortex_map": partial(vortex_map, ground, layout),
+            "energy_moments": partial(
+                energy_moments, ground,
+                build_spin_hamiltonian(layout, 0.7, 1.3, 0.4)),
+            "braid_phase_on_state": partial(braid_phase_on_state, loop,
+                                            crossing, ground),
+            "expectation": partial(expectation, ground, loop.operator),
+            "interferometry_run": partial(interferometry_run, layout,
+                                          project_ground(layout, 2), hexagon),
+        }[name]
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
-        def counted_flip(tensor, n_sites, x_mask):
-            calls["_flip"].append(x_mask)
-            return flip(tensor, n_sites, x_mask)
 
-        def counted_half_signs(z_masks, n_sites):
-            calls["_half_signs"] += 1
-            return half_signs(z_masks, n_sites)
+def _sparse_state(n, cavity_dim, rng):
+    """Random amplitudes on random basis indices of every block, some of
+    them in the zero-photon block."""
+    index = np.union1d(rng.choice(cavity_dim << n, 40),
+                       rng.choice(1 << n, 8)).astype(np.int64)
+    values = rng.standard_normal(index.size) + \
+        1j * rng.standard_normal(index.size)
+    return semionlab.states._on_support(n, cavity_dim, index,
+                                        values).normalized()
 
-        monkeypatch.setattr(semionlab.pauli, "_flip", counted_flip)
-        monkeypatch.setattr(semionlab.pauli, "_half_signs",
-                            counted_half_signs)
-        return calls
 
-    def test_energy_moments(self, counts):
-        layout = build_layout(2, 4)
-        ham = build_spin_hamiltonian(layout, 1.0, 0.7, 1.3)
-        energy_moments(project_ground(layout), ham)
-        masks = {op.x_mask for _, op in ham.terms}
-        assert sorted(counts["_flip"]) == sorted(masks)
+def _random_op(n, rng):
+    return PauliString(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)),
+                       int(rng.integers(4)))
 
-    def test_vortex_map(self, counts):
-        layout = build_layout(2, 4)
-        vortex_map(project_ground(layout), layout)
-        masks = {op.x_mask for p in layout.bond_plaquettes
-                 for op in (p.up, p.down)}
-        assert sorted(counts["_flip"]) == sorted(masks)
 
-    def test_apply_pauli(self, counts):
-        st = random_state(8, cavity_dim=2, rng=np.random.default_rng(9))
-        apply_pauli(st, PauliString(8, 0b10110001, 0b01100111, 1))
-        assert counts == {"_flip": [0b10110001], "_half_signs": 0}
+def _dense(op, blocks):
+    return apply_pauli_sum([(1, op)], op.n_sites, blocks)
+
+
+@pytest.fixture(params=[(shape, cavity_dim)
+                        for shape in [(1, 2), (1, 4), (2, 2), (2, 3), (3, 2),
+                                      (2, 4), (3, 3), (2, 5)]
+                        for cavity_dim in (1, 2, 3)],
+                ids=lambda p: f"{p[0][0]}x{p[0][1]}-cavity{p[1]}")
+def support_case(request):
+    """A layout, a seeded generator, and three support states: the ground
+    state, a Pauli string applied to it, and random sparse amplitudes."""
+    shape, cavity_dim = request.param
+    layout = build_layout(*shape)
+    n = layout.n_sites
+    rng = np.random.default_rng(100 * shape[0] + 10 * shape[1] + cavity_dim)
+    ground = project_ground(layout, cavity_dim)
+    states = [ground, apply_pauli(ground, _random_op(n, rng)),
+              _sparse_state(n, cavity_dim, rng)]
+    return layout, rng, states
+
+
+class TestSupportMatchesDense:
+    """The index-level operations against ``apply_pauli_sum`` on
+    ``blocks()`` and ``np.vdot``, the dense reference."""
+
+    def test_apply_pauli_is_exact(self, support_case):
+        layout, rng, states = support_case
+        for state in states:
+            for _ in range(4):
+                op = _random_op(layout.n_sites, rng)
+                assert np.array_equal(apply_pauli(state, op).blocks(),
+                                      _dense(op, state.blocks()))
+
+    def test_vortex_map(self, support_case):
+        layout, _, states = support_case
+        ops = [(p.up, p.down) for p in layout.bond_plaquettes]
+        for state in states:
+            b = state.blocks()
+            want = [[np.vdot(b, _dense(w, b)).real for w in pair]
+                    for pair in ops]
+            got = vortex_map(state, layout).values
+            assert np.max(np.abs(np.array(got) - want), initial=0) < 1e-12
+
+    def test_energy_moments(self, support_case):
+        layout, rng, states = support_case
+        ham = build_spin_hamiltonian(layout, *rng.uniform(0.2, 2.0, 3))
+        for state in states:
+            b = state.blocks()
+            hv = ham.apply(b)
+            energy = np.vdot(b, hv).real
+            variance = np.vdot(hv, hv).real - energy ** 2
+            got = energy_moments(state, ham)
+            assert abs(got[0] - energy) < 1e-12
+            assert abs(got[1] - max(0.0, variance)) < 1e-12
+
+    def test_braid_phase_on_state(self, support_case):
+        layout, rng, states = support_case
+        n = layout.n_sites
+        for _ in range(3):
+            loop = StringSpec.z_string(
+                layout, rng.choice(n, int(rng.integers(1, n + 1)),
+                                   replace=False).tolist())
+            crossing = StringSpec.x_string(
+                layout, rng.choice(n, int(rng.integers(1, n + 1)),
+                                   replace=False).tolist())
+            for state in states:
+                b = state.blocks()
+                braided = _dense(loop.operator, _dense(crossing.operator, b))
+                unbraided = _dense(crossing.operator, _dense(loop.operator, b))
+                got = braid_phase_on_state(loop, crossing, state)
+                assert abs(got - np.vdot(unbraided, braided)) < 1e-12
+
+    def test_interferometry(self, support_case):
+        layout, rng, states = support_case
+        n = layout.n_sites
+        sites = rng.choice(n, int(rng.integers(1, n + 1)),
+                           replace=False).tolist()
+        if states[0].cavity_dim < 2:
+            with pytest.raises(CapacityError):
+                interferometry_run(layout, states[0], sites)
+            return
+        gate = qnd_unitary(QndParams.canonical(1.0, sites), 1, n)
+        for state in states:
+            q = state.blocks()[0]
+            q = q / np.linalg.norm(q)
+            coherence = np.vdot(q, _dense(gate, q)) / 2
+            want = (2 * coherence * 1j ** len(sites)).real
+            got = interferometry_run(layout, state, sites)
+            assert abs(got.inferred_eigenvalue - want) < 1e-12
+
+
+def test_stabilizer_route_past_the_dense_budget():
+    # 32 qubits: 2**32 amplitudes, 4,096 on the support
+    layout = build_layout(4, 4)
+    ground = project_ground(layout)
+    assert ground.values.size == 4096
+    with pytest.raises(CapacityError):
+        ground.blocks()
+    assert all(abs(w - 1) < 1e-12 and abs(wt - 1) < 1e-12
+               for w, wt in vortex_map(ground, layout).values)
+    j_up, j_down, u = 0.7, 1.3, 0.4
+    energy, variance = energy_moments(
+        ground, build_spin_hamiltonian(layout, j_up, j_down, u))
+    expected = -(j_up + j_down) * len(layout.square.bonds) \
+        - u * layout.square.n_sites
+    assert abs(energy - expected) < 1e-10
+    assert variance < 1e-10
+    rng = np.random.default_rng(44)
+    for _ in range(6):
+        loop = StringSpec.z_string(
+            layout, rng.choice(32, 6, replace=False).tolist())
+        crossing = StringSpec.x_string(
+            layout, rng.choice(32, 3, replace=False).tolist())
+        assert abs(braid_phase_on_state(loop, crossing, ground)
+                   - braid_phase(loop, crossing)) < 1e-10
 
 
 class TestStateVectorBasics:
@@ -310,6 +445,12 @@ class TestStateVectorBasics:
         st = random_state(6, rng=rng)
         op = PauliString(6, 37, 11, 1)
         assert apply_pauli(st, op).norm() == pytest.approx(1.0, abs=1e-14)
+
+    def test_basis_indices_past_64_bits_refused(self):
+        # 16x2 has a ground-state support of 2**16 entries, inside the
+        # budget, but its 64 qubits give basis indices an int64 cannot hold
+        with pytest.raises(CapacityError, match="do not fit 64 bits"):
+            project_ground(build_layout(16, 2))
 
     def test_dense_capacity_guard(self):
         from semionlab.errors import CapacityError
