@@ -297,6 +297,8 @@ def qnd_frequencies(e_c: float, n_g: float, omega_c: float, delta: float,
     """
     if delta == 0:
         raise ZeroDivisionError("detuning delta must be nonzero")
+    if g == 0:
+        raise ValueError(f"coupling g must be nonzero, got {g}")
     omega_01 = 2 * e_c * (1 - 2 * n_g) / HBAR
     omega_12 = 2 * e_c * (3 - 2 * n_g) / HBAR
     drive = omega_12 + omega_c + delta

@@ -11,9 +11,11 @@ builds produce byte-identical primary output.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -177,7 +179,7 @@ def run_spectrum(cfg: dict, args) -> tuple[dict, bool]:
         dev = float(np.max(np.abs(eig - oracle)))
         results.append({
             "couplings": [j_up, j_down, u],
-            "eigenvalues": [float(x) for x in eig],
+            "eigenvalues": eig.tolist(),
             "max_multiset_deviation": dev,
         })
         ok = ok and dev < tol
@@ -333,7 +335,43 @@ def _to_csv(report: dict) -> str:
     return buf.getvalue()
 
 
-def main(argv: list[str] | None = None) -> int:
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _leaf_encoder(inner: str):
+    """The C encoder for a container of scalars, items on their own lines."""
+    return json.JSONEncoder(sort_keys=True,
+                            separators=(",\n" + inner, ": ")).encode
+
+
+def _to_json(obj, pad: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte.
+
+    ``json`` indents only in its pure-Python encoder.  A container whose
+    values are all scalars is instead one C-encoder call with the newline
+    and indent in its item separator; other containers recurse.
+    """
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        return json.dumps(obj)
+    inner = pad + "  "
+    is_dict = isinstance(obj, dict)
+    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+        body = _leaf_encoder(inner)(obj)[1:-1]
+    elif is_dict:
+        body = (",\n" + inner).join(
+            encode_basestring_ascii(key) + ": " + _to_json(val, inner)
+            for key, val in sorted(obj.items()))
+    else:
+        body = (",\n" + inner).join(_to_json(val, inner) for val in obj)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}\n{inner}{body}\n{pad}{closing}"
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # building the parser costs argparse over ten times what one parse
+    # does, so a process that runs many commands builds it once
     parser = argparse.ArgumentParser(
         prog="semionlab",
         description="anyon lattice model and circuit parameter toolbox")
@@ -345,7 +383,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = _load_config(args.config, args.command)
@@ -355,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if args.format == "json":
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        payload = _to_json(report) + "\n"
     else:
         payload = _to_csv(report)
     if args.out:

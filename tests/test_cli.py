@@ -1,5 +1,6 @@
 """Batch front-end: schema validation, verdicts, deterministic output."""
 
+import argparse
 import json
 import math
 import os
@@ -8,7 +9,8 @@ import sys
 
 import pytest
 
-from semionlab.cli import main
+from semionlab import __version__
+from semionlab.cli import _to_json, main
 
 
 def write_config(tmp_path, name, payload):
@@ -257,6 +259,14 @@ class TestCircuit:
         code, _, err = run(["circuit", "--config", cfg], capsys)
         assert code == 2 and "error" in err
 
+    def test_zero_coupling_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            "c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24, "beta": 0.05,
+            "omega_c": 3e10, "delta": 1e9, "g": 0})
+        code, out, err = run(["circuit", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: coupling g must be nonzero, got 0.0\n"
+
 
 @pytest.mark.parametrize("command,payload", [
     ("qnd", {"n_qubits": 3, "sites": 5}),
@@ -299,3 +309,99 @@ def test_cli_import_leaves_out_the_eigensolver():
          "import sys, semionlab.cli; print('scipy.linalg' in sys.modules)"],
         capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "False\n"
+
+
+class TestOutputBytes:
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), {"a": {}, "b": [], "c": [[], {}]}, [[]], [{}],
+        [{"b": 1, "a": 2}, {"c": [1, 2]}], {"y": [1, 2], "x": [3]},
+        {"t": (1, (2.5, "s")), "u": ()},
+        [float("nan"), float("inf"), -float("inf"), -0.0, 0.1],
+        {"b": True, "f": False, "n": None, "i": -3},
+        {"\u00e9t\u00e9": "\u20ac \"q\" \\ \n", "k": ["\u00fc"]},
+        {"deep": {"er": [[1, [2, {"z": None, "a": [True]}]], {}]}},
+        "text", 7, 2.5, None, False,
+    ])
+    def test_to_json_matches_json_dumps(self, obj):
+        assert _to_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("command,payload", [
+        ("lattice", {"rows": 2, "cols": 2}),
+        ("lattice", {"rows": 8, "cols": 8}),
+        ("spectrum", {"rows": 1, "cols": 4, "random_trials": 3}),
+        ("ground", {"rows": 2, "cols": 2}),
+        ("braid", {"rows": 2, "cols": 3,
+                   "loop": {"family": "z",
+                            "sites": [[0, "black"], [0, "white"],
+                                      [1, "black"], [1, "white"]]},
+                   "crossing": {"family": "x", "sites": [[0, "black"]]},
+                   "state_check": True}),
+        ("qnd", {"n_qubits": 4, "sites": [0, 1, 3], "cavity_levels": 3}),
+        ("circuit", {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24,
+                     "beta": 0.05, "c_a": 25e-18, "c_b": 20e-18}),
+        ("circuit", {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24,
+                     "beta": 0.05, "omega_c": 3e10, "delta": 1e9,
+                     "g": 1e8, "temperature": 0.02}),
+        ("circuit", {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24,
+                     "beta": 0.05, "omega_c": 3e10, "delta": 1e9,
+                     "g": 1e8, "temperature": None}),
+    ])
+    def test_report_is_indented_json(self, tmp_path, capsys, command,
+                                     payload):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        code, out, _ = run([command, "--config", cfg], capsys)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True,
+                                 indent=2) + "\n"
+        out_path = tmp_path / "report.json"
+        run([command, "--config", cfg, "--out", str(out_path)], capsys)
+        assert out_path.read_bytes() == out.encode()
+
+
+class TestParser:
+    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        cfg = write_config(tmp_path, "lat.json", {"rows": 1, "cols": 2})
+        for _ in range(5):
+            assert run(["lattice", "--config", cfg], capsys)[0] == 0
+        assert built.count("semionlab") <= 1
+
+    def test_reuse_matches_fresh_process(self, tmp_path, capsys):
+        spec = write_config(tmp_path, "spec.json",
+                            {"rows": 1, "cols": 2, "random_trials": 2})
+        lat = write_config(tmp_path, "lat.json", {"rows": 1, "cols": 2})
+        qnd = write_config(tmp_path, "q.json",
+                           {"n_qubits": 3, "sites": [0, 2]})
+        # flags set by one call must not leak into the next
+        for argv in (["spectrum", "--config", spec, "--seed", "5",
+                      "--format", "csv"],
+                     ["lattice", "--config", lat],
+                     ["spectrum", "--config", spec],
+                     ["qnd", "--config", qnd, "--seed", "3"],
+                     ["qnd", "--config", qnd, "--format", "csv"]):
+            _, out, _ = run(argv, capsys)
+            proc = subprocess.run(
+                [sys.executable, "-m", "semionlab.cli", *argv],
+                capture_output=True, text=True)
+            assert out == proc.stdout
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == __version__ + "\n"
+
+    def test_unknown_subcommand_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["nosuch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: semionlab ")
+        assert "invalid choice: 'nosuch'" in err
