@@ -308,6 +308,8 @@ def qnd_closed_form_deviation(params: QndParams, n_qubits: int,
     ones.  The operator norm of their difference is its largest modulus.
     Zero (to roundoff) at the canonical time.
     """
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     if cavity_dim < 1:
         raise ValueError(f"cavity_dim must be >= 1, got {cavity_dim}")
     dim = 1 << n_qubits

@@ -33,6 +33,7 @@ Diagnostics never alter computed values; they only report.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from scipy.constants import e as _E_CODATA
@@ -83,16 +84,23 @@ class DeviceParams:
 
 
 def capacitance_determinant(c_t_a: float, c_t_b: float, c_c: float) -> float:
-    """``C_t^a C_t^b - C_c^2``, rejected when not positive.
+    """``C_t^a C_t^b - C_c^2``, rejected when not positive or ill-conditioned.
 
     With ``C_t = C_0 + C_c`` and positive device capacitances the
-    determinant is always positive; the guard protects direct uses with
-    raw totals.
+    determinant is always positive; the sign guard protects direct uses
+    with raw totals.  The subtraction cancels as ``C_c`` outgrows ``C_0``;
+    a network whose rounding error ``eps (C_t^a C_t^b + C_c^2)`` exceeds
+    1e-12 of the determinant (``beta`` of some thousands) is refused, as
+    its couplings would miss the identities they are checked to.
     """
     det = c_t_a * c_t_b - c_c ** 2
     if det <= 0:
         raise DegenerateNetworkError(
             f"capacitance determinant {det} is not positive")
+    if sys.float_info.epsilon * (c_t_a * c_t_b + c_c ** 2) > 1e-12 * det:
+        raise DegenerateNetworkError(
+            f"capacitance determinant {det} is ill-conditioned: its "
+            "rounding error exceeds 1e-12 of it")
     return det
 
 
@@ -270,10 +278,11 @@ def long_range_warning(beta: float, threshold: float = 0.01) -> dict:
 
     The nearest coupling in units of ``2 E_c`` is ``beta / (1 + 2 beta)``
     exactly; the warning triggers when the next-nearest estimate
-    ``beta**2`` exceeds ``threshold`` times that scale.
+    ``beta**2`` exceeds ``threshold`` times that scale; a strong coupling
+    (``beta >= 1``) is flagged, not refused.
     """
     nearest_rel = beta / (1.0 + 2.0 * beta)
-    estimate = long_range_estimate(0, 2, beta)
+    estimate = beta ** 2
     return {
         "next_nearest_estimate": estimate,
         "nearest_relative_coupling": nearest_rel,

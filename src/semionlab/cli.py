@@ -401,8 +401,13 @@ def main(argv: list[str] | None = None) -> int:
     else:
         payload = _to_csv(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write output {args.out}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return 0 if ok else 1

@@ -37,7 +37,7 @@ class ZeroProjectionError(SemionLabError):
 
 
 class DegenerateNetworkError(SemionLabError):
-    """Circuit capacitance network has a non-positive determinant."""
+    """Capacitance network determinant is non-positive or ill-conditioned."""
 
 
 class ConfigError(SemionLabError):

@@ -96,8 +96,8 @@ class HamiltonianTerms:
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """``H amps`` with the qubit index last, through
-        :func:`~semionlab.pauli.apply_pauli_sum` (one flip per distinct
-        x-mask; zeros for an empty term list)."""
+        :func:`~semionlab.pauli.apply_pauli_sum` (one flip per term;
+        zeros for an empty term list)."""
         return apply_pauli_sum(self.terms, self.n_sites, amps)
 
 

@@ -297,33 +297,8 @@ def _unit(p: PauliString) -> complex:
     return phase
 
 
-def _by_x_mask(ops, n_sites: int) -> dict[int, list[int]]:
-    """Positions in ``ops`` grouped by ``x_mask``, in order of first use."""
-    groups: dict[int, list[int]] = {}
-    for k, op in enumerate(ops):
-        if op.n_sites != n_sites:
-            raise DimensionMismatchError(
-                f"operator on {op.n_sites} sites, register has {n_sites}")
-        groups.setdefault(op.x_mask, []).append(k)
-    return groups
-
-
-def _half_signs(z_masks, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked high- and low-half :func:`_z_signs`, one row per mask.
-
-    With ``lo = n_sites // 2`` and ``hi = n_sites - lo``, row ``k`` of the
-    first array (``K x 2**hi``) times row ``k`` of the second
-    (``K x 2**lo``) is ``(-1)**popcount(t & z_masks[k])`` for
-    ``t = high * 2**lo + low``.
-    """
-    lo = n_sites // 2
-    high = np.stack([_z_signs(z >> lo, n_sites - lo) for z in z_masks])
-    low = np.stack([_z_signs(z, lo) for z in z_masks])
-    return high, low
-
-
 def apply_pauli_sum(terms, n_sites: int, amps: np.ndarray) -> np.ndarray:
-    """``sum_k c_k P_k amps`` for ``(c_k, P_k)`` pairs, one flip per x-mask.
+    """``sum_k c_k P_k amps`` for ``(c_k, P_k)`` pairs, one flip per term.
 
     ``amps`` may be 1-D of length ``2**n_sites`` or carry lead axes, the
     qubit index last (a cavity-tensored register is ``(levels, 2**n)``).
@@ -331,60 +306,43 @@ def apply_pauli_sum(terms, n_sites: int, amps: np.ndarray) -> np.ndarray:
     one string is the one-term sum ``[(1, P)]``.
 
     The amplitudes are viewed as a ``(2,) * n_sites`` tensor, site ``j``
-    on the ``j``-th axis from the end.  The X factors reverse the axes of
-    their sites (a view, no index array), so output index ``t`` reads
-    input index ``t ^ x_k``, and term ``k`` contributes the factor
-    ``w_k (-1)**popcount(t & z_k)`` with
+    on the ``j``-th axis from the end.  The X factors of term ``k``
+    reverse the axes of their sites (a view, no index array), so output
+    index ``t`` reads input index ``t ^ x_k``, and the term contributes
+    the factor ``w_k (-1)**popcount(t & z_k)`` with
     ``w_k = c_k i**p_k (-1)**popcount(x_k & z_k)``.  The sign splits over
-    the high ``hi = ceil(n/2)`` and low ``lo = floor(n/2)`` bits of ``t``.
-    Terms sharing an x-mask share one reversed view:
+    the high ``hi = ceil(n/2)`` and low ``lo = floor(n/2)`` bits of ``t``:
+    the view is multiplied by the weighted high-half signs into its
+    target, then by the low-half signs, if ``z_k`` has low bits, in
+    place.  A term thus builds no array of length ``2**n_sites`` besides
+    its target, and since a one-term sum only permutes amplitudes and
+    multiplies them by units, it keeps the norm of a unit-weight string
+    exactly.
 
-    * a group of one term multiplies the view by its weighted high-half
-      signs into its target, then the low-half signs, if ``z_k`` has low
-      bits, in place.  A one-term sum thus builds no array of length
-      ``2**n_sites`` besides the output, and since it only permutes
-      amplitudes and multiplies them by units, it keeps the norm of a
-      unit-weight string exactly;
-    * a group of ``K >= 2`` terms multiplies the view by its signed
-      diagonal ``D(t) = sum_k w_k (-1)**popcount(t & z_k)``, built as the
-      product ``(2**hi x K) @ (K x 2**lo)`` of the stacked half-register
-      signs, so no full-length sign vector is built per term; ``D`` is
-      real when every weight is.
-
-    The first group writes the output and each later one is added from
+    The first term writes the output and each later one is added from
     one reused buffer.
     """
     terms = list(terms)
     tensor = _site_tensor(amps, n_sites)
-    groups = _by_x_mask([op for _, op in terms], n_sites)
-    # the first group writes every entry, so only an empty sum needs zeros
-    out = (np.empty if groups else np.zeros)(tensor.shape, dtype=complex)
-    scratch = np.empty_like(out) if len(groups) > 1 else None
+    # the first term writes every entry, so only an empty sum needs zeros
+    out = (np.empty if terms else np.zeros)(tensor.shape, dtype=complex)
+    scratch = np.empty_like(out) if len(terms) > 1 else None
     lo = n_sites // 2
     hi = n_sites - lo
-    for g, (x_mask, members) in enumerate(groups.items()):
-        target = out if g == 0 else scratch
-        flipped = _flip(tensor, n_sites, x_mask)
-        weights = np.array([terms[k][0] * _unit(terms[k][1])
-                            for k in members])
-        if len(members) == 1:
-            # the weight stays complex: cut to float, it gives the same
-            # values but can flip the sign bit of zero amplitudes
-            z_mask = terms[members[0]][1].z_mask
-            coeff = weights[0] * _z_signs(z_mask >> lo, hi)
-            np.multiply(flipped, coeff.reshape((2,) * hi + (1,) * lo),
-                        out=target)
-            if z_mask & ((1 << lo) - 1):
-                rows = target.reshape(-1, 1 << hi, 1 << lo)
-                rows *= _z_signs(z_mask, lo)
-        else:
-            if not weights.imag.any():
-                weights = weights.real
-            high, low = _half_signs([terms[k][1].z_mask for k in members],
-                                    n_sites)
-            diag = ((high.T * weights) @ low).reshape((2,) * n_sites)
-            np.multiply(flipped, diag, out=target)
-        if g:
+    for k, (c, op) in enumerate(terms):
+        if op.n_sites != n_sites:
+            raise DimensionMismatchError(
+                f"operator on {op.n_sites} sites, register has {n_sites}")
+        target = scratch if k else out
+        # the weight stays complex: cut to float, it gives the same
+        # values but can flip the sign bit of zero amplitudes
+        coeff = c * _unit(op) * _z_signs(op.z_mask >> lo, hi)
+        np.multiply(_flip(tensor, n_sites, op.x_mask),
+                    coeff.reshape((2,) * hi + (1,) * lo), out=target)
+        if op.z_mask & ((1 << lo) - 1):
+            rows = target.reshape(-1, 1 << hi, 1 << lo)
+            rows *= _z_signs(op.z_mask, lo)
+        if k:
             out += scratch
     return out.reshape(amps.shape)
 

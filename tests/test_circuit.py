@@ -89,6 +89,17 @@ class TestPairCouplings:
             DeviceNetwork(DeviceParams(ATTO, ATTO, 1e-24),
                           DeviceParams(ATTO, ATTO, 1e-24), -1 * ATTO)
 
+    def test_ill_conditioned_determinant_rejected(self):
+        # strong coupling is valid while the determinant keeps its digits,
+        # and there the exact identity still holds to 1e-12
+        for beta in (1.0, 1.5, 10.0, 1000.0):
+            c = two_device_couplings(identical_network(beta=beta))
+            assert c.lam_pair * (1 + 2 * beta) == \
+                pytest.approx(2 * beta * c.e_c_a, rel=1e-12)
+        for beta in (1e5, 5e5):
+            with pytest.raises(DegenerateNetworkError, match="ill-cond"):
+                identical_network(beta=beta)
+
     def test_invalid_device_params(self):
         with pytest.raises(ValueError):
             DeviceParams(-1.0, 1.0, 1.0)

@@ -232,6 +232,13 @@ class TestQnd:
         assert code == 2 and out == ""
         assert err == "error: site -1 outside register\n"
 
+    def test_negative_register_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "q.json",
+                           {"n_qubits": -1, "sites": [0]})
+        code, out, err = run(["qnd", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: n_qubits must be >= 1, got -1\n"
+
 
 class TestCircuit:
     def test_beta_fixture(self, tmp_path, capsys):
@@ -243,6 +250,19 @@ class TestCircuit:
         report = json.loads(out)
         assert report["beta_a"] == pytest.approx(0.05)
         assert report["E_c_a_GHz"] == pytest.approx(32.28, rel=2e-3)
+        assert report["long_range"]["warn"] is True
+
+    @pytest.mark.parametrize("coupling", [{"beta": 1.5},
+                                          {"c_c": 900e-18}])
+    def test_strong_coupling_warns(self, tmp_path, capsys, coupling):
+        # beta >= 1 is a valid network: the long-range check only reports
+        cfg = write_config(tmp_path, "c.json",
+                           {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24,
+                            **coupling})
+        code, out, err = run(["circuit", "--config", cfg], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["beta_a"] >= 1
         assert report["long_range"]["warn"] is True
 
     def test_decoupled(self, tmp_path, capsys):
@@ -290,6 +310,16 @@ def test_out_file_written(tmp_path, capsys):
                        capsys)
     assert code == 0 and out == ""
     assert json.loads(out_path.read_text())["counts"]["bonds"] == 1
+
+
+def test_unwritable_out_path_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "lat.json", {"rows": 1, "cols": 2})
+    out_path = str(tmp_path / "missing" / "report.json")
+    code, out, err = run(["lattice", "--config", cfg, "--out", out_path],
+                         capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write output {out_path}: ")
+    assert err.count("\n") == 1
 
 
 def test_console_entry_point(tmp_path):

@@ -195,9 +195,9 @@ class TestApplyProperty:
                                                     abs=0, rel=1e-15)
 
 
-# terms drawn from a small pool of distinct x-masks, so groups of several
-# z-masks under one x-mask are common; random phases give odd-Y
-# (imaginary weight) strings and the coefficients are complex
+# terms drawn from a small pool of distinct x-masks, so several terms
+# often share one x-mask; random phases give odd-Y (imaginary weight)
+# strings and the coefficients are complex
 pauli_sums = st.integers(1, 7).flatmap(lambda n: st.tuples(
     st.just(n),
     st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3,
@@ -207,6 +207,19 @@ pauli_sums = st.integers(1, 7).flatmap(lambda n: st.tuples(
 
 
 class TestPauliSum:
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_one_term_is_exact(self, lead):
+        # a unit string only permutes amplitudes and multiplies them by
+        # units, so the kernel and the dense product agree bit for bit
+        rng = np.random.default_rng(21)
+        for _ in range(150):
+            n = int(rng.integers(1, 11))
+            p = random_pauli(rng, n)
+            block = rng.standard_normal((*lead, 1 << n)) + \
+                1j * rng.standard_normal((*lead, 1 << n))
+            assert np.array_equal(apply_pauli_sum([(1, p)], n, block),
+                                  block @ p.to_matrix().T)
+
     @settings(max_examples=150, deadline=None)
     @given(spec=pauli_sums,
            lone=st.tuples(st.integers(0, 8), st.integers(0, 127),
@@ -220,8 +233,8 @@ class TestPauliSum:
                   PauliString(n, x_pool[k % len(x_pool)], z, phase))
                  for k, z, phase in draws]
         if len(x_pool) > 1:
-            # one term alone keeps x_pool[0]: a one-member group that comes
-            # first (it writes the output) or later (the reused buffer)
+            # one term alone keeps x_pool[0], placed first (it writes the
+            # output) or later (it goes through the reused buffer)
             at, z, phase = lone
             terms = [t for t in terms if t[1].x_mask != x_pool[0]]
             terms.insert(min(at, len(terms)),
