@@ -29,7 +29,9 @@ from .lattice import HoneycombLayout
 from .operators import REP_HONEYCOMB, x_string_op
 from .pauli import (
     PauliString,
+    _anticommuting,
     _check_compatible,
+    _set_bits,
     _site_mask,
     apply_pauli_sum,
     commutes,
@@ -79,11 +81,15 @@ class StringSpec:
 
     @staticmethod
     def _letters(layout: HoneycombLayout, sites, letter: str, family: str):
+        """``letter`` on every site: X and Z set one mask, Y both, with
+        one factor ``i`` per site from ``Y = i X Z``."""
         sites = tuple(sorted(set(sites)))
-        op = PauliString.from_letters(layout.n_sites,
-                                      {s: letter for s in sites},
-                                      REP_HONEYCOMB)
-        return StringSpec(family, sites, op)
+        mask = _site_mask(sites, layout.n_sites)
+        x_mask = mask if letter in "XY" else 0
+        z_mask = mask if letter in "ZY" else 0
+        phase = len(sites) if letter == "Y" else 0
+        return StringSpec(family, sites, PauliString(
+            layout.n_sites, x_mask, z_mask, phase, REP_HONEYCOMB))
 
     @classmethod
     def z_string(cls, layout: HoneycombLayout, sites) -> "StringSpec":
@@ -149,19 +155,18 @@ def predicted_flips(layout: HoneycombLayout, op: PauliString) -> dict:
     ``op`` is checked against the first one only (raising as
     :func:`~semionlab.pauli.commutes` would).  Then ``op`` anticommutes
     with ``W`` iff ``x_mask << n | z_mask`` of ``op`` and
-    ``z_mask << n | x_mask`` of ``W`` share an odd number of bits.
+    ``z_mask << n | x_mask`` of ``W`` share an odd number of bits.  The
+    layout's column table of each family (``flip_columns``) gives every
+    such ``W`` at once: the cost is one XOR per set bit of ``op`` and one
+    step per flipped plaquette, whatever the number of plaquettes.
     """
     plqs = layout.bond_plaquettes
     if plqs:
         _check_compatible(op, plqs[0].up)
     n = op.n_sites
-    vec = op.x_mask << n | op.z_mask
-
-    def anticommutes(w: PauliString) -> bool:
-        return (vec & (w.z_mask << n | w.x_mask)).bit_count() % 2 == 1
-
-    return {"up": tuple(p.index for p in plqs if anticommutes(p.up)),
-            "down": tuple(p.index for p in plqs if anticommutes(p.down))}
+    bits = _set_bits(op.x_mask << n | op.z_mask)
+    return {family: tuple(reversed(_set_bits(_anticommuting(columns, bits))))
+            for family, columns in layout.flip_columns.items()}
 
 
 # -- braiding ----------------------------------------------------------

@@ -14,6 +14,7 @@ import argparse
 import functools
 import io
 import json
+import math
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -58,16 +59,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    # json.load accepts NaN and Infinity; an int is always finite, and
+    # math.isfinite would overflow converting a huge one
+    return _is_int(value) or (isinstance(value, float)
+                              and math.isfinite(value))
 
 
 # value kind -> (description for the error message, check)
 _KINDS = {
     "int": ("an integer", _is_int),
-    "number": ("a number", _is_number),
-    "number_or_null": ("a number or null",
-                       lambda v: v is None or _is_number(v)),
+    "number": ("a finite number", _is_finite),
+    "number_or_null": ("a finite number or null",
+                       lambda v: v is None or _is_finite(v)),
+    "tolerance": ("a finite number > 0",
+                  lambda v: _is_finite(v) and v > 0),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "ints": ("a list of integers",
              lambda v: isinstance(v, list) and all(map(_is_int, v))),
@@ -81,13 +87,13 @@ _COUPLINGS = {"j_up": "number", "j_down": "number", "u": "number"}
 _SCHEMAS = {
     "lattice": (_DIMS, {}),
     "spectrum": (_DIMS, {**_COUPLINGS, "random_trials": "int",
-                         "tolerance": "number"}),
+                         "tolerance": "tolerance"}),
     "ground": (_DIMS, _COUPLINGS),
     "braid": ({**_DIMS, "loop": "object", "crossing": "object"},
               {"state_check": "bool"}),
     "qnd": ({"n_qubits": "int", "sites": "ints"},
             {"chi": "number", "tau": "number", "cavity_levels": "int",
-             "tolerance": "number"}),
+             "tolerance": "tolerance"}),
     "circuit": ({"c_g": "number", "c_j": "number", "e_j": "number"},
                 {"n_g": "number", "c_c": "number", "beta": "number",
                  "c_a": "number", "c_b": "number", "omega_c": "number",
@@ -394,6 +400,9 @@ def main(argv: list[str] | None = None) -> int:
         report, ok = _RUNNERS[args.command](cfg, args)
     except (SemionLabError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        print(f"error: numeric overflow: {exc}", file=sys.stderr)
         return 2
 
     if args.format == "json":

@@ -39,8 +39,10 @@ from .operators import (
 )
 from .pauli import (
     PauliString,
+    _anticommuting,
     _check_compatible,
     _gf2_reduce,
+    _set_bits,
     _z_signs,
     apply_pauli_sum,
     multiply_all,
@@ -79,19 +81,27 @@ class HamiltonianTerms:
         naming the first tag and the first other tag in term order.  Two
         terms commute iff ``x_mask << n | z_mask`` of one and
         ``z_mask << n | x_mask`` of the other share an even number of
-        bits (the symplectic product).
+        bits (the symplectic product).  The terms are read once, in
+        order, against a column table of the earlier ones (see
+        :func:`~semionlab.pauli._anticommuting`): a term costs one XOR
+        per set bit of its vector and one OR per set bit to enter the
+        table, so the whole check grows with the total term weight, not
+        with the number of pairs.
         """
         tagged = [op for _, op in self.terms if op.rep is not None]
         for op in tagged:
             if op.rep != tagged[0].rep:
                 _check_compatible(tagged[0], op)  # raises
         n = self.n_sites
-        vecs = [op.x_mask << n | op.z_mask for _, op in self.terms]
-        swapped = [op.z_mask << n | op.x_mask for _, op in self.terms]
-        for i, vec in enumerate(vecs):
-            for other in swapped[i + 1:]:
-                if (vec & other).bit_count() & 1:
-                    return False
+        columns = [0] * (2 * n)
+        for k, (_, op) in enumerate(self.terms):
+            bits = _set_bits(op.x_mask << n | op.z_mask)
+            if _anticommuting(columns, bits):
+                return False
+            # the swapped vector has the same bits with the halves exchanged
+            term = 1 << k
+            for b in bits:
+                columns[b - n if b >= n else b + n] |= term
         return True
 
     def apply(self, amps: np.ndarray) -> np.ndarray:

@@ -22,7 +22,10 @@ Frozen coordinate conventions (see also ``docs/conventions.md``):
   exist and the plaquette truncates to five (or, for a single row, four)
   sites; ``complete_plaquettes`` filters those away.
 * Each plaquette carries its up and down stabilizers, built once with
-  the layout from ``_PLAQ_LETTERS``; every consumer reads them there.
+  the layout straight from its label bits; every consumer reads them
+  there.  The layout also holds, per family, the column table of those
+  stabilizers (``flip_columns``), which answers "which plaquettes does
+  this string flip" in one XOR per set bit of the string.
 
 Only open boundary conditions are supported; asking for periodic ones is
 rejected explicitly.  Layouts are immutable after construction and all
@@ -51,9 +54,13 @@ REP_HONEYCOMB = "honeycomb_spin"
 UP = "up"      # psi species, realized by device chain a
 DOWN = "down"  # chi species, realized by device chain b
 
-# Plaquette label order 1..6; the two families differ by swapping X and Y
-# heads on the four link sites, labels 3 and 6 carry Z in both.
-_PLAQ_LETTERS = {UP: "YXZYXZ", DOWN: "XYZXYZ"}
+# Plaquette label order 1..6: the up family reads YXZYXZ and the down
+# family XYZXYZ, so both carry X on the four link labels (1, 2, 4, 5),
+# Z on labels 3 and 6 and a Y on two link labels, which differ: the
+# 0-based label positions of each family's Z factors are listed here.
+# With Y = i X Z, each stabilizer has phase exponent 2 (two Y letters).
+_PLAQ_X = (0, 1, 3, 4)
+_PLAQ_Z = {UP: (0, 2, 3, 5), DOWN: (1, 2, 4, 5)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,17 +150,14 @@ def _x_offset(row: int) -> float:
     return 0.5 if row % 2 else 0.0
 
 
-def _stabilizer(n_sites: int, labels: tuple[int | None, ...],
-                family: str) -> PauliString:
-    """One family's letters over the plaquette labels that exist."""
-    letters = {rank: letter
-               for rank, letter in zip(labels, _PLAQ_LETTERS[family])
-               if rank is not None}
-    return PauliString.from_letters(n_sites, letters, REP_HONEYCOMB)
-
-
 class HoneycombLayout:
-    """Honeycomb image of a square lattice, with the zigzag JW order."""
+    """Honeycomb image of a square lattice, with the zigzag JW order.
+
+    ``flip_columns[family]`` is the column table of that family's
+    stabilizers over ``2 * n_sites`` bits: entry ``b`` is the bitmask of
+    the plaquette indices whose ``z_mask << n | x_mask`` has bit ``b``
+    (see :func:`~semionlab.pauli._anticommuting`).
+    """
 
     def __init__(self, square: SquareLattice):
         self.square = square
@@ -174,7 +178,12 @@ class HoneycombLayout:
                                             line, x))
             self._rank[(site, color)] = rank
 
+        n = self.n_sites
         self.bond_plaquettes: list[BondPlaquette] = []
+        # entry b: bitmask of the plaquettes whose stabilizer has bit b
+        # in z_mask << n | x_mask; the x half is the same in both families
+        x_columns = [0] * n
+        z_columns = {UP: [0] * n, DOWN: [0] * n}
         for idx, (i, j) in enumerate(square.bonds):
             row, col = square.coords(i)
             mid = col + row % 2
@@ -190,10 +199,24 @@ class HoneycombLayout:
                 self._rank[(j, BLACK)],
                 bottom,
             )
+            plaquette = 1 << idx
+            x_mask = 0
+            for k in _PLAQ_X:
+                x_mask |= 1 << labels[k]
+                x_columns[labels[k]] |= plaquette
+            ops = {}
+            for family, positions in _PLAQ_Z.items():
+                z_mask = 0
+                for k in positions:
+                    if labels[k] is not None:
+                        z_mask |= 1 << labels[k]
+                        z_columns[family][labels[k]] |= plaquette
+                ops[family] = PauliString(n, x_mask, z_mask, 2, REP_HONEYCOMB)
             self.bond_plaquettes.append(BondPlaquette(
-                idx, i, j, row, col, labels,
-                _stabilizer(self.n_sites, labels, UP),
-                _stabilizer(self.n_sites, labels, DOWN)))
+                idx, i, j, row, col, labels, ops[UP], ops[DOWN]))
+        self.flip_columns: dict[str, tuple[int, ...]] = {
+            family: tuple(x_columns + z_columns[family])
+            for family in (UP, DOWN)}
 
     # -- queries -----------------------------------------------------
 

@@ -84,11 +84,9 @@ def z_op_from_majoranas(layout: HoneycombLayout, square_site: int,
 
 def link_zz_op(layout: HoneycombLayout, square_site: int) -> PauliString:
     """Z on both honeycomb sites of one vertical link."""
-    return PauliString.from_letters(
-        layout.n_sites,
-        {layout.rank(square_site, BLACK): "Z",
-         layout.rank(square_site, WHITE): "Z"},
-        REP_HONEYCOMB)
+    z_mask = (1 << layout.rank(square_site, BLACK)
+              | 1 << layout.rank(square_site, WHITE))
+    return PauliString(layout.n_sites, 0, z_mask, 0, REP_HONEYCOMB)
 
 
 def bond_parity_op(layout: HoneycombLayout, square_i: int, square_j: int,

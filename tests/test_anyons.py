@@ -1,10 +1,13 @@
 """Strings, braiding phases, the conditioned-string protocol, ancilla swap."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semionlab.anyons import (
     ControlledString,
@@ -39,6 +42,9 @@ from semionlab.states import (
     project_ground,
     random_state,
 )
+
+
+_layout = functools.cache(build_layout)
 
 
 def link_sites(layout, *squares):
@@ -99,6 +105,30 @@ class TestPredictedFlips:
                                 if not commutes(op, p.up)),
                     "down": tuple(p.index for p in plqs
                                   if not commutes(op, p.down))}
+
+    @pytest.mark.parametrize("dims", [(r, c) for r in range(1, 9)
+                                      for c in range(2, 9)])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_matches_commutes_every_shape(self, dims, data):
+        layout = _layout(*dims)
+        n = layout.n_sites
+        plqs = layout.bond_plaquettes
+        if data.draw(st.booleans()):
+            family = data.draw(st.sampled_from("xyz"))
+            sites = data.draw(st.lists(st.integers(0, n - 1), max_size=8))
+            op = getattr(StringSpec, f"{family}_string")(layout,
+                                                         sites).operator
+        else:
+            op = PauliString(n, data.draw(st.integers(0, (1 << n) - 1)),
+                             data.draw(st.integers(0, (1 << n) - 1)),
+                             data.draw(st.integers(0, 3)),
+                             data.draw(st.sampled_from(
+                                 [None, "honeycomb_spin"])))
+        assert predicted_flips(layout, op) == {
+            "up": tuple(p.index for p in plqs if not commutes(op, p.up)),
+            "down": tuple(p.index for p in plqs
+                          if not commutes(op, p.down))}
 
     def test_incompatible_operator_raises(self):
         layout = build_layout(2, 3)

@@ -303,6 +303,45 @@ def test_mistyped_config_values_exit_2(tmp_path, capsys, command, payload):
     assert proc.returncode == 2 and "Traceback" not in proc.stderr
 
 
+_CIRCUIT = {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24, "beta": 0.05}
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    ("circuit", {**_CIRCUIT, "c_g": _NAN}, "c_g"),
+    ("circuit", {**_CIRCUIT, "omega_c": 3e10, "delta": 1e9, "g": 1e8,
+                 "temperature": _INF}, "temperature"),
+    ("spectrum", {"rows": 1, "cols": 2, "j_up": _NAN, "tolerance": _INF},
+     "j_up"),
+    ("ground", {"rows": 1, "cols": 2, "u": -_INF}, "u"),
+    ("qnd", {"n_qubits": 3, "sites": [0], "chi": _NAN}, "chi"),
+    ("spectrum", {"rows": 1, "cols": 2, "tolerance": _INF}, "tolerance"),
+    ("spectrum", {"rows": 1, "cols": 2, "tolerance": 0}, "tolerance"),
+    ("qnd", {"n_qubits": 3, "sites": [0], "tolerance": -1e-10},
+     "tolerance"),
+    ("qnd", {"n_qubits": 3, "sites": [0], "tolerance": _NAN}, "tolerance"),
+])
+def test_non_finite_numbers_and_bad_tolerances_exit_2(tmp_path, capsys,
+                                                      command, payload, key):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    code, out, err = run([command, "--config", cfg], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: config key {key!r} must be a finite ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("qnd", {"n_qubits": 10**30, "sites": [0]}),
+    ("circuit", {**_CIRCUIT, "c_g": 1e300}),
+])
+def test_overflow_exits_2(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "big.json", payload)
+    code, out, err = run([command, "--config", cfg], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: numeric overflow: ")
+    assert err.count("\n") == 1
+
+
 def test_out_file_written(tmp_path, capsys):
     cfg = write_config(tmp_path, "lat.json", {"rows": 1, "cols": 2})
     out_path = tmp_path / "report.json"

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semionlab.errors import CapacityError, RepresentationError
 from semionlab.hamiltonian import (
@@ -17,7 +19,7 @@ from semionlab.hamiltonian import (
     spectrum,
 )
 from semionlab.lattice import build_layout
-from semionlab.pauli import PauliString
+from semionlab.pauli import PauliString, commutes
 
 
 class TestFermionOracle:
@@ -131,6 +133,59 @@ class TestSpinHamiltonian:
         layout = build_layout(1, 3)
         ham = build_spin_hamiltonian(layout, 0, 0, 0)
         assert np.allclose(spectrum(ham), 0.0)
+
+
+@st.composite
+def _near_commuting_terms(draw):
+    """Terms on up to 100 sites with no or exactly one anticommuting pair.
+
+    Z-type masks all commute; the optional extra term is X on one site
+    that only the first mask covers, so it anticommutes with that term
+    alone.  Random Hadamards and CNOTs then scramble every term alike,
+    which keeps each pair's commutation.  Tags are drawn per term,
+    with one other tag in half the lists.
+    """
+    n = draw(st.integers(1, 100))
+    site = draw(st.integers(0, n - 1))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                          max_size=12))
+    masks = [masks[0] | 1 << site] + [m & ~(1 << site) for m in masks[1:]]
+    pairs = [(0, m) for m in masks]
+    extra = draw(st.booleans())
+    if extra:
+        pairs.insert(draw(st.integers(1, len(pairs))), (1 << site, 0))
+    hadamard = draw(st.integers(0, (1 << n) - 1))
+    pairs = [((x & ~hadamard) | (z & hadamard),
+              (z & ~hadamard) | (x & hadamard)) for x, z in pairs]
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1)),
+                              max_size=3 * n)):
+        if a != b:
+            # CNOT a -> b: X on a spreads to b, Z on b spreads to a
+            pairs = [(x ^ (x >> a & 1) << b, z ^ (z >> b & 1) << a)
+                     for x, z in pairs]
+    reps = draw(st.lists(st.sampled_from([None, "a"]),
+                         min_size=len(pairs), max_size=len(pairs)))
+    if draw(st.booleans()):
+        reps[draw(st.integers(0, len(reps) - 1))] = "b"
+    return n, int(extra), [PauliString(n, x, z, (x & z).bit_count() % 2, rep)
+                           for (x, z), rep in zip(pairs, reps)]
+
+
+class TestCommutationTable:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=_near_commuting_terms())
+    def test_matches_pairwise_reference(self, drawn):
+        n, pairs, ops = drawn
+        ham = HamiltonianTerms("spin", n, tuple((1.0, op) for op in ops))
+        if len({op.rep for op in ops} - {None}) > 1:
+            with pytest.raises(RepresentationError):
+                ham.all_terms_commute()
+            return
+        odd = [(p, q) for p, q in itertools.combinations(ops, 2)
+               if not commutes(p, q)]
+        assert len(odd) == pairs
+        assert ham.all_terms_commute() == (not odd)
 
 
 class TestMappingEquivalence:

@@ -4,10 +4,20 @@ import pytest
 
 from semionlab.lattice import (
     BLACK,
+    DOWN,
+    REP_HONEYCOMB,
+    UP,
     WHITE,
     build_layout,
     layout_from_dict,
 )
+from semionlab.pauli import PauliString
+
+# every shape up to 8x8 (a bond needs two columns)
+SHAPES = [(r, c) for r in range(1, 9) for c in range(2, 9)]
+
+# the stabilizers as letters over plaquette labels 1..6 (docs/conventions.md)
+PLAQ_LETTERS = {UP: "YXZYXZ", DOWN: "XYZXYZ"}
 
 # Regression constants from manual enumeration of the frozen embedding:
 # bonds = rows * (cols - 1); complete hexagons = max(rows - 2, 0) * (cols - 1).
@@ -108,6 +118,35 @@ class TestPlaquettes:
                 assert p.labels[2] is None and p.labels[5] is not None
             else:
                 assert p.is_complete
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_stabilizers_match_letter_reference(self, dims):
+        # the letter construction over the labels that exist, phase and
+        # tag included, is the reference for the mask-built stabilizers
+        layout = build_layout(*dims)
+        for p in layout.bond_plaquettes:
+            for family, op in ((UP, p.up), (DOWN, p.down)):
+                want = PauliString.from_letters(
+                    layout.n_sites,
+                    {r: letter for r, letter in zip(p.labels,
+                                                    PLAQ_LETTERS[family])
+                     if r is not None},
+                    REP_HONEYCOMB)
+                assert (op, op.phase_exp, op.rep) == \
+                    (want, want.phase_exp, want.rep), (dims, p.index, family)
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_flip_columns_match_stabilizer_bits(self, dims):
+        # entry b: the plaquettes whose z_mask << n | x_mask has bit b
+        layout = build_layout(*dims)
+        n = layout.n_sites
+        for family in (UP, DOWN):
+            ops = [p.up if family == UP else p.down
+                   for p in layout.bond_plaquettes]
+            want = tuple(sum(1 << k for k, op in enumerate(ops)
+                             if (op.z_mask << n | op.x_mask) >> b & 1)
+                         for b in range(2 * n))
+            assert layout.flip_columns[family] == want
 
     def test_deterministic(self):
         a = build_layout(3, 4)

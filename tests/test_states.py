@@ -7,6 +7,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import semionlab
 
@@ -222,6 +224,33 @@ class TestExpectationAndOverlap:
             apply_pauli(basis_state(2), PauliString.single(3, 0, "X"))
 
 
+class TestExpectationJoin:
+    @settings(max_examples=200, deadline=None)
+    @given(letters=hst.lists(hst.sampled_from("IXYZ"), min_size=1,
+                             max_size=5),
+           phase=hst.integers(0, 3), cavity_dim=hst.integers(1, 3),
+           sparse=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
+    def test_matches_dense_vdot(self, letters, phase, cavity_dim, sparse,
+                                seed):
+        # a sparse support leaves some partners t ^ x outside it
+        n = len(letters)
+        op = PauliString.from_letters(n, dict(enumerate(letters))).times_i(
+            phase)
+        rng = np.random.default_rng(seed)
+        dim = cavity_dim << n
+        index = np.arange(dim, dtype=np.int64)
+        if sparse:
+            index = np.sort(rng.choice(dim, rng.integers(1, dim + 1),
+                                       replace=False)).astype(np.int64)
+        values = rng.standard_normal(index.size) + \
+            1j * rng.standard_normal(index.size)
+        state = semionlab.states._on_support(n, cavity_dim, index, values)
+        amps = state.amplitudes
+        want = np.vdot(amps, (amps.reshape(cavity_dim, -1)
+                              @ op.to_matrix().T).ravel())
+        assert abs(expectation(state, op) - want) < 1e-12
+
+
 class TestGroupedExpectations:
     @pytest.mark.parametrize("cavity_dim", [1, 2, 3])
     def test_match_one_at_a_time(self, cavity_dim):
@@ -244,12 +273,16 @@ class TestGroupedExpectations:
             [expectation(basis_state(1), iz)]
 
     def test_complex_hermitian_value_raises(self, monkeypatch):
-        monkeypatch.setattr(semionlab.states, "overlap",
-                            lambda u, v: 1 + 1e-9j)
+        # a complex factor injected into the join makes the Hermitian Z
+        # come out complex, which is refused; the non-Hermitian iZ passes
+        factor = semionlab.states._factor
+        monkeypatch.setattr(semionlab.states, "_factor",
+                            lambda op, index: factor(op, index) * (1 + 1e-9j))
         z = PauliString.single(1, 0, "Z")
         with pytest.raises(AssertionError, match="came out complex"):
             expectations(basis_state(1), [z])
-        assert expectations(basis_state(1), [z.times_i()]) == [1 + 1e-9j]
+        assert expectations(basis_state(1), [z.times_i()]) == \
+            [1j * (1 + 1e-9j)]
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionMismatchError):
