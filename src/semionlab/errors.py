@@ -5,6 +5,12 @@
 # this number.
 DENSE_ELEMENTS = 1 << 24
 
+# Most square sites a lattice may have (64x64).  A layout is built in
+# Python, bond by bond, so a larger one would run for seconds before any
+# array budget is checked; the largest lattice any solver takes is far
+# smaller.
+MAX_SQUARE_SITES = 4096
+
 
 class SemionLabError(Exception):
     """Base class for all package errors."""
@@ -19,8 +25,9 @@ class RepresentationError(SemionLabError):
 
 
 class CapacityError(SemionLabError):
-    """A construction was requested above ``DENSE_ELEMENTS``, or a register
-    whose basis indices do not fit 64 bits."""
+    """A construction was requested above ``DENSE_ELEMENTS``, a lattice
+    above ``MAX_SQUARE_SITES``, or a register whose basis indices do not
+    fit 64 bits."""
 
 
 def _require_capacity(count: int, what: str) -> int:

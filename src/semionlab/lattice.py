@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .errors import MAX_SQUARE_SITES, CapacityError
 from .pauli import PauliString
 
 __all__ = [
@@ -113,6 +114,10 @@ class SquareLattice:
         if rows < 1 or cols < 2:
             raise ValueError(
                 f"need rows >= 1 and cols >= 2, got {rows}x{cols}")
+        if rows * cols > MAX_SQUARE_SITES:
+            raise CapacityError(
+                f"a {rows}x{cols} lattice has {rows * cols} square sites, "
+                f"over the limit of {MAX_SQUARE_SITES}")
         self.rows = rows
         self.cols = cols
         self.n_sites = rows * cols

@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from semionlab.anyons import QndParams, qnd_closed_form_deviation
-from semionlab.errors import DENSE_ELEMENTS, CapacityError
+from semionlab.errors import DENSE_ELEMENTS, MAX_SQUARE_SITES, CapacityError
 from semionlab.hamiltonian import (
     DiagonalOracle,
     HamiltonianTerms,
@@ -14,7 +14,7 @@ from semionlab.hamiltonian import (
     dense_matrix,
     spectrum,
 )
-from semionlab.lattice import build_layout
+from semionlab.lattice import SquareLattice, build_layout
 from semionlab.pauli import PauliString
 from semionlab.states import basis_state, project_ground
 
@@ -55,3 +55,20 @@ def test_guard_refuses_past_budget_before_allocating(name):
         tracemalloc.stop()
     assert str(DENSE_ELEMENTS) in str(info.value)
     assert peak < 1 << 20, f"{peak} bytes allocated before the check"
+
+
+@pytest.mark.parametrize("rows,cols", [(65, 64), (4097, 2), (10**30, 2)])
+def test_lattice_size_limit_checked_before_any_bond(rows, cols):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as info:
+            build_layout(rows, cols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(MAX_SQUARE_SITES) in str(info.value)
+    assert peak < 1 << 16
+
+
+def test_lattice_size_limit_is_inclusive():
+    assert SquareLattice(64, 64).n_sites == MAX_SQUARE_SITES

@@ -7,10 +7,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from semionlab import __version__
-from semionlab.cli import _to_json, main
+from semionlab.cli import _to_csv, _to_json, main, run_spectrum
 
 
 def write_config(tmp_path, name, payload):
@@ -46,6 +49,14 @@ class TestLattice:
                            {"rows": 2, "cols": 2, "wat": 1})
         code, _, err = run(["lattice", "--config", cfg], capsys)
         assert code == 2 and "unknown config keys" in err
+
+    @pytest.mark.parametrize("rows,cols", [(65, 64), (10**30, 2)])
+    def test_size_limit_exits_2(self, tmp_path, capsys, rows, cols):
+        cfg = write_config(tmp_path, "big.json", {"rows": rows, "cols": cols})
+        code, out, err = run(["lattice", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "4096" in err
+        assert err.count("\n") == 1
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "lat.json", {"rows": 2, "cols": 2})
@@ -133,6 +144,20 @@ class TestGround:
         assert report["degeneracy"] == {"oracle": 8,
                                         "exact_diagonalization": 8,
                                         "predicted": 8}
+
+    def test_mixed_sign_chains_predict_null(self, tmp_path, capsys):
+        # the chain picture has no count here; oracle and ED still agree
+        cfg = write_config(tmp_path, "g.json", {
+            "rows": 1, "cols": 4, "j_up": 1.79, "j_down": -0.75,
+            "u": -0.31})
+        code, out, err = run(["ground", "--config", cfg], capsys)
+        report = json.loads(out)
+        assert report["degeneracy"] == {"oracle": 4,
+                                        "exact_diagonalization": 4,
+                                        "predicted": None}
+        assert report["checks"]["degeneracy_match"] is True
+        assert code == (0 if all(report["checks"].values()) else 1)
+        assert err == ""
 
     def test_variance_never_negative(self, tmp_path):
         # on one BLAS thread <H^2> - <H>^2 rounds to -2.8e-14 here
@@ -380,12 +405,35 @@ def test_cli_import_leaves_out_the_eigensolver():
     assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, 0.1, -2.5]),
+    st.floats(allow_nan=False, allow_infinity=False))
+# float64 arrays made of runs of equal neighbours, some of them strided
+_ARRAYS = st.lists(st.tuples(_FLOATS, st.integers(1, 4)), max_size=8).map(
+    lambda runs: np.array([v for v, n in runs for _ in range(n)],
+                          dtype=np.float64))
+_LEAVES = st.one_of(_ARRAYS, _ARRAYS.map(lambda a: a[::-2]), _FLOATS,
+                    st.integers(), st.text(max_size=3), st.booleans(),
+                    st.none())
+
+
+def _as_lists(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _as_lists(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(val) for val in obj]
+    return obj
+
+
 class TestOutputBytes:
     @pytest.mark.parametrize("obj", [
         {}, [], (), {"a": {}, "b": [], "c": [[], {}]}, [[]], [{}],
         [{"b": 1, "a": 2}, {"c": [1, 2]}], {"y": [1, 2], "x": [3]},
         {"t": (1, (2.5, "s")), "u": ()},
-        [float("nan"), float("inf"), -float("inf"), -0.0, 0.1],
+        [-0.0, 0.1],
         {"b": True, "f": False, "n": None, "i": -3},
         {"\u00e9t\u00e9": "\u20ac \"q\" \\ \n", "k": ["\u00fc"]},
         {"deep": {"er": [[1, [2, {"z": None, "a": [True]}]], {}]}},
@@ -425,6 +473,86 @@ class TestOutputBytes:
         out_path = tmp_path / "report.json"
         run([command, "--config", cfg, "--out", str(out_path)], capsys)
         assert out_path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("obj", [
+        [float("nan"), float("inf"), -float("inf"), -0.0, 0.1],
+        {"a": [1, {"b": float("inf")}]}, -float("inf"), [0.1, float("nan")],
+        np.array([0.0, float("nan")]), np.array([1.0, 1.0, -float("inf")]),
+        {"e": np.array([float("inf")] * 3), "f": 1},
+    ])
+    def test_non_finite_refused(self, obj):
+        with pytest.raises(ValueError):
+            _to_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        np.arange(3), np.zeros((2, 2)), np.zeros(3, dtype=np.float32),
+        np.zeros(3, dtype=complex), np.zeros(()),
+        {"a": [np.zeros(2, dtype=">f8")]},
+    ])
+    def test_other_arrays_refused_like_json_dumps(self, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj)
+        with pytest.raises(TypeError):
+            _to_json(obj)
+
+    def test_csv_refuses_non_finite(self):
+        assert _to_csv({"a": 1.5, "b": "x"}) == "key,value\na,1.5\nb,'x'\n"
+        with pytest.raises(ValueError):
+            _to_csv({"a": float("inf")})
+        with pytest.raises(ValueError):
+            _to_csv({"vortex_map": [[1.0, float("nan")]]})
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.recursive(_LEAVES, lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=4), children, max_size=4)),
+        max_leaves=12))
+    @example(np.zeros(0))
+    @example(np.array([0.0, -0.0, -0.0, 0.0]))
+    @example({"x": [np.array([5e-324]), np.array([1e308, 1e308, -1e308])]})
+    def test_arrays_written_as_lists(self, obj):
+        assert _to_json(obj) == json.dumps(_as_lists(obj), sort_keys=True,
+                                           indent=2)
+
+    @pytest.mark.parametrize("payload", [
+        {"rows": 1, "cols": 4, "random_trials": 3},
+        {"rows": 2, "cols": 3},
+        {"rows": 2, "cols": 4},
+        {"rows": 2, "cols": 3, "j_up": 0, "j_down": 0, "u": 0},
+    ])
+    def test_spectrum_bytes_are_the_list_encoding(self, tmp_path, capsys,
+                                                  payload):
+        cfg = write_config(tmp_path, "spec.json", payload)
+        code, out, _ = run(["spectrum", "--config", cfg, "--seed", "4"],
+                           capsys)
+        report, ok = run_spectrum(payload, argparse.Namespace(seed=4))
+        assert code == (0 if ok else 1)
+        assert all(isinstance(t["eigenvalues"], np.ndarray)
+                   for t in report["trials"])
+        assert out == json.dumps(_as_lists(report), sort_keys=True,
+                                 indent=2) + "\n"
+
+
+class TestNonFiniteResults:
+    def test_circuit_infinite_frequency_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            **_CIRCUIT, "omega_c": 3e10, "delta": 1e-300, "g": 1e8})
+        code, out, err = run(["circuit", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["spectrum", "ground"])
+    def test_overflowing_couplings_exit_2(self, tmp_path, command):
+        # numpy would warn on stderr and the report would hold NaN
+        cfg = write_config(tmp_path, "big.json", {
+            "rows": 1, "cols": 2, "j_up": 1e308, "j_down": 1e308,
+            "u": 1e308})
+        proc = subprocess.run(
+            [sys.executable, "-m", "semionlab.cli", command, "--config", cfg],
+            capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestParser:
