@@ -1,6 +1,6 @@
 # Build the topological ground state and watch vortices appear.
 #
-# The ground state is the reference state (all Z eigenvalues +1)
+# The ground state is the all-zeros basis state (all Z eigenvalues +1)
 # projected onto the +1 eigenspace of every plaquette stabilizer of
 # both families.  Site operations then create excitations: a single
 # effective-X flips the plaquettes its symplectic footprint predicts,

@@ -23,7 +23,6 @@ from .anyons import (
     jc_swap,
     qnd_closed_form_deviation,
     qnd_unitary,
-    string_basis_change,
     vortex_map,
 )
 from .circuit import (
@@ -33,7 +32,6 @@ from .circuit import (
     chain_couplings,
     charging_energy,
     jc_resonance,
-    long_range_estimate,
     long_range_warning,
     qnd_frequencies,
     two_device_couplings,
@@ -73,7 +71,6 @@ from .states import (
     overlap,
     project_ground,
     random_state,
-    reference_state,
 )
 
 __version__ = "0.1.0"

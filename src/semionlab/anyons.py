@@ -33,15 +33,15 @@ from .pauli import (
     _check_compatible,
     _set_bits,
     _site_mask,
-    apply_pauli_sum,
     commutes,
     multiply,
 )
 from .states import (
     StateVector,
     _cavity_block,
+    _check_register,
+    _factor,
     _on_support,
-    _pauli_images,
     apply_pauli,
     expectations,
     overlap,
@@ -60,9 +60,6 @@ __all__ = [
     "qnd_closed_form_deviation",
     "ControlledString",
     "cavity_superposition",
-    "string_basis_change",
-    "conjugate_by_hadamard",
-    "conjugate_by_phase_rotation",
     "interferometry_run",
     "ReadoutRecord",
     "jc_swap",
@@ -122,14 +119,14 @@ class VortexMap:
 
     values: tuple[tuple[float, float], ...]
 
-    def flipped_against(self, other: "VortexMap",
-                        tol: float = 1e-9) -> dict[str, tuple[int, ...]]:
+    def flipped_against(self,
+                        other: "VortexMap") -> dict[str, tuple[int, ...]]:
         ups, downs = [], []
         for idx, ((a0, b0), (a1, b1)) in enumerate(
                 zip(other.values, self.values)):
-            if abs(a0 - a1) > tol:
+            if abs(a0 - a1) > 1e-9:
                 ups.append(idx)
-            if abs(b0 - b1) > tol:
+            if abs(b0 - b1) > 1e-9:
                 downs.append(idx)
         return {"up": tuple(ups), "down": tuple(downs)}
 
@@ -308,10 +305,10 @@ def qnd_closed_form_deviation(params: QndParams, n_qubits: int,
 
     Both operators are diagonal over cavity (x) qubits, so each is held
     as its diagonal: the exact side is ``exp(-i tau d)`` taken elementwise
-    over the dispersive diagonal ``d``, the closed side is
-    :func:`qnd_unitary` of each photon sector applied to a vector of
-    ones.  The operator norm of their difference is its largest modulus.
-    Zero (to roundoff) at the canonical time.
+    over the dispersive diagonal ``d``, the closed side is the factor of
+    :func:`qnd_unitary` of each photon sector at every qubit index (that
+    Z string applied to ones).  The operator norm of their difference is
+    its largest modulus.  Zero (to roundoff) at the canonical time.
     """
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
@@ -320,13 +317,13 @@ def qnd_closed_form_deviation(params: QndParams, n_qubits: int,
     dim = 1 << n_qubits
     _require_capacity(cavity_dim * dim,
                       f"dispersive diagonal over {cavity_dim} x {dim} states")
+    _check_register(n_qubits, cavity_dim)
     exact = np.exp(-1j * params.tau * _qnd_diagonal(params, n_qubits,
                                                     cavity_dim))
     canonical = QndParams.canonical(params.chi, params.sites)
-    ones = np.ones(dim)
+    qubits = np.arange(dim)
     closed = np.concatenate([
-        apply_pauli_sum([(1, qnd_unitary(canonical, n_c, n_qubits))],
-                        n_qubits, ones)
+        _factor(qnd_unitary(canonical, n_c, n_qubits), qubits)
         for n_c in range(cavity_dim)])
     return float(np.max(np.abs(exact - closed)))
 
@@ -363,13 +360,13 @@ class ControlledString:
             raise CapacityError("controlled string needs a cavity register")
         params = QndParams.canonical(1.0, self.sites)
         n = state.n_qubits
-        level = state.index >> n
+        ends = np.searchsorted(state.index,
+                               np.arange(1, state.cavity_dim + 1) << n)
         values = state.values.copy()
         for n_c in range(1, state.cavity_dim):
-            sector = level == n_c
-            _, factor = _pauli_images([(1, qnd_unitary(params, n_c, n))], n,
+            sector = slice(ends[n_c - 1], ends[n_c])
+            values[sector] *= _factor(qnd_unitary(params, n_c, n),
                                       state.index[sector])
-            values[sector] *= factor[0]
         return _on_support(n, state.cavity_dim, state.index, values)
 
 
@@ -382,42 +379,6 @@ def cavity_superposition(qubit_state: StateVector, mu: complex,
     return _on_support(qubit_state.n_qubits, 2,
                        np.concatenate((index, index + qubit_state.qubit_dim)),
                        np.concatenate((mu * q, nu * q)))
-
-
-# -- basis changes ------------------------------------------------------
-
-def conjugate_by_hadamard(op: PauliString, sites_mask: int) -> PauliString:
-    """Exact image under Hadamard on the masked sites (X<->Z, Y->-Y)."""
-    keep = ~sites_mask
-    x = (op.x_mask & keep) | (op.z_mask & sites_mask)
-    z = (op.z_mask & keep) | (op.x_mask & sites_mask)
-    phase = op.phase_exp + 2 * int.bit_count(op.x_mask & op.z_mask & sites_mask)
-    return PauliString(op.n_sites, x, z, phase, op.rep)
-
-
-def conjugate_by_phase_rotation(op: PauliString, sites_mask: int) -> PauliString:
-    """Exact image under exp(-i pi Z / 4) on the masked sites (X->Y->-X)."""
-    z = op.z_mask ^ (op.x_mask & sites_mask)
-    phase = op.phase_exp + int.bit_count(op.x_mask & sites_mask)
-    return PauliString(op.n_sites, op.x_mask, z, phase, op.rep)
-
-
-def string_basis_change(axis: str, sites, n_qubits: int) -> PauliString:
-    """X- or Y-string as a rotated Z-string.
-
-    The Z string over ``sites`` is conjugated by per-site Hadamards (for
-    ``axis="x"``) or by Hadamards followed by the quarter phase rotation
-    (for ``axis="y"``); the result equals the directly built letter
-    product, which tests assert against dense matrices.
-    """
-    mask = _site_mask(sites, n_qubits)
-    uz = PauliString(n_qubits, 0, mask, 0)
-    if axis == "x":
-        return conjugate_by_hadamard(uz, mask)
-    if axis == "y":
-        return conjugate_by_phase_rotation(conjugate_by_hadamard(uz, mask),
-                                           mask)
-    raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
 
 
 # -- interferometry ----------------------------------------------------

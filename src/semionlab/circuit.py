@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from scipy.constants import e as _E_CODATA
 from scipy.constants import h as _H_CODATA
@@ -56,7 +56,6 @@ __all__ = [
     "two_device_couplings",
     "chain_couplings",
     "charging_energy",
-    "long_range_estimate",
     "long_range_warning",
     "qnd_frequencies",
     "jc_resonance",
@@ -169,7 +168,6 @@ class EffectiveCouplings:
     lam_chain_b: float | None = None
     lam_chain_c: float | None = None
     single_device_z: tuple[float, float] = (0.0, 0.0)
-    include_single_device_terms: bool = False
     notes: tuple[str, ...] = field(default=(), compare=False)
 
     def in_ghz(self, value: float) -> float:
@@ -192,7 +190,7 @@ class EffectiveCouplings:
             "E_c_b_J": self.e_c_b, "E_c_b_GHz": self.in_ghz(self.e_c_b),
             "beta_a": self.beta_a, "beta_b": self.beta_b,
             "single_device_z_J": list(self.single_device_z),
-            "single_device_terms_included": self.include_single_device_terms,
+            "single_device_terms_included": False,
             "notes": list(self.notes),
         }
         if self.lam_chain_a is not None:
@@ -209,13 +207,11 @@ class EffectiveCouplings:
 
 
 def two_device_couplings(net: DeviceNetwork,
-                         include_single_device_terms: bool = False,
                          charge: float = ELEMENTARY_CHARGE) -> EffectiveCouplings:
     """Exact pair couplings of two capacitively coupled charge qubits.
 
     Single-device Z coefficients are computed and reported but excluded
-    from the lattice mapping unless explicitly re-included (they are
-    assumed nulled by bias tuning).
+    from the lattice mapping (they are assumed nulled by bias tuning).
     """
     lam_det = net.lam_det
     e2 = charge ** 2
@@ -224,9 +220,6 @@ def two_device_couplings(net: DeviceNetwork,
     lam = e2 * net.c_c / lam_det
     sz_a = -0.5 * eps_a * (1 - 2 * net.device_a.n_g)
     sz_b = -0.5 * eps_b * (1 - 2 * net.device_b.n_g)
-    notes = []
-    if not include_single_device_terms:
-        notes.append("single-device terms reported only (assumed nulled)")
     return EffectiveCouplings(
         eps_a=eps_a, eps_b=eps_b,
         delta_a=net.device_a.e_j, delta_b=net.device_b.e_j,
@@ -236,8 +229,7 @@ def two_device_couplings(net: DeviceNetwork,
         beta_a=net.c_c / net.device_a.c_0,
         beta_b=net.c_c / net.device_b.c_0,
         single_device_z=(sz_a, sz_b),
-        include_single_device_terms=include_single_device_terms,
-        notes=tuple(notes),
+        notes=("single-device terms reported only (assumed nulled)",),
     )
 
 
@@ -252,37 +244,22 @@ def chain_couplings(net: DeviceNetwork,
     lam_a = e2 * net.c_a / (c_0 * (c_0 + 2 * (net.c_c + 2 * net.c_a)))
     lam_b = e2 * net.c_b / (c_0 * (c_0 + 2 * (net.c_c + 2 * net.c_b)))
     lam_c = e2 * net.c_c / (c_0 * (c_0 + 2 * (net.c_c + net.c_a + net.c_b)))
-    notes = base.notes + ("chain couplings are first order in beta",)
-    return EffectiveCouplings(
-        eps_a=base.eps_a, eps_b=base.eps_b,
-        delta_a=base.delta_a, delta_b=base.delta_b,
-        lam_pair=base.lam_pair,
-        e_c_a=base.e_c_a, e_c_b=base.e_c_b,
-        beta_a=base.beta_a, beta_b=base.beta_b,
-        lam_chain_a=lam_a, lam_chain_b=lam_b, lam_chain_c=lam_c,
-        single_device_z=base.single_device_z,
-        include_single_device_terms=base.include_single_device_terms,
-        notes=notes,
-    )
+    return replace(
+        base, lam_chain_a=lam_a, lam_chain_b=lam_b, lam_chain_c=lam_c,
+        notes=base.notes + ("chain couplings are first order in beta",))
 
 
-def long_range_estimate(i: int, j: int, beta: float) -> float:
-    """Dimensionless magnitude ``beta ** |i - j|`` of the residual coupling."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie strictly between 0 and 1")
-    return beta ** abs(i - j)
-
-
-def long_range_warning(beta: float, threshold: float = 0.01) -> dict:
+def long_range_warning(beta: float) -> dict:
     """Flag when the next-nearest coupling is not negligible.
 
     The nearest coupling in units of ``2 E_c`` is ``beta / (1 + 2 beta)``
     exactly; the warning triggers when the next-nearest estimate
-    ``beta**2`` exceeds ``threshold`` times that scale; a strong coupling
-    (``beta >= 1``) is flagged, not refused.
+    ``beta**2`` exceeds 0.01 (reported as ``threshold``) times that
+    scale; a strong coupling (``beta >= 1``) is flagged, not refused.
     """
     nearest_rel = beta / (1.0 + 2.0 * beta)
     estimate = beta ** 2
+    threshold = 0.01
     return {
         "next_nearest_estimate": estimate,
         "nearest_relative_coupling": nearest_rel,
@@ -292,9 +269,7 @@ def long_range_warning(beta: float, threshold: float = 0.01) -> dict:
 
 
 def qnd_frequencies(e_c: float, n_g: float, omega_c: float, delta: float,
-                    g: float, temperature: float | None = None,
-                    detuning_ratio: float = 0.1,
-                    regime_ratio: float = 0.1) -> dict:
+                    g: float, temperature: float | None = None) -> dict:
     """Drive frequencies and validity flags for the dispersive gate.
 
     All frequencies are angular (rad/s); ``e_c`` is in joules.  The
@@ -302,7 +277,8 @@ def qnd_frequencies(e_c: float, n_g: float, omega_c: float, delta: float,
     ``omega_01 = 2 E_c (1 - 2 n_g) / hbar`` and
     ``omega_12 = 2 E_c (3 - 2 n_g) / hbar``; the drive sits at
     ``omega = omega_12 + omega_c + delta`` and the leakage detunings are
-    checked against ``delta``.
+    checked against ``delta``: each must be at least ten times larger.
+    The charge regime holds while ``k_B T`` is at most a tenth of ``E_c``.
     """
     if delta == 0:
         raise ZeroDivisionError("detuning delta must be nonzero")
@@ -315,8 +291,7 @@ def qnd_frequencies(e_c: float, n_g: float, omega_c: float, delta: float,
     delta_2 = omega_01 + omega_12 - drive
     chi = g ** 2 / (2 * delta)
     tau = math.pi / (2 * chi)
-    small = (abs(delta / delta_1) <= detuning_ratio if delta_1 != 0 else False) \
-        and (abs(delta / delta_2) <= detuning_ratio if delta_2 != 0 else False)
+    small = all(d != 0 and abs(delta / d) <= 0.1 for d in (delta_1, delta_2))
     out = {
         "omega_01": omega_01,
         "omega_12": omega_12,
@@ -325,11 +300,11 @@ def qnd_frequencies(e_c: float, n_g: float, omega_c: float, delta: float,
         "delta_2": delta_2,
         "chi": chi,
         "tau": tau,
-        "small_detuning_ok": bool(small),
+        "small_detuning_ok": small,
         "negative_frequency_flag": bool(min(omega_01, omega_12, drive) < 0),
     }
     if temperature is not None:
-        out["regime_ok"] = bool(BOLTZMANN * temperature <= regime_ratio * e_c)
+        out["regime_ok"] = bool(BOLTZMANN * temperature <= 0.1 * e_c)
         out["k_b_T_over_E_c"] = BOLTZMANN * temperature / e_c
     return out
 

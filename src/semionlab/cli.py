@@ -38,7 +38,13 @@ from .circuit import (
     qnd_frequencies,
     two_device_couplings,
 )
-from .errors import ConfigError, SemionLabError
+from .errors import (
+    MAX_RANDOM_TRIALS,
+    CapacityError,
+    ConfigError,
+    SemionLabError,
+    _require_capacity,
+)
 from .hamiltonian import (
     DiagonalOracle,
     build_spin_hamiltonian,
@@ -170,6 +176,12 @@ def run_spectrum(cfg: dict, args) -> tuple[dict, bool]:
         n_trials = cfg["random_trials"]
         if n_trials < 1:
             raise ConfigError(f"random_trials must be >= 1, got {n_trials}")
+        if n_trials > MAX_RANDOM_TRIALS:
+            raise CapacityError(f"{n_trials} random trials, over the limit "
+                                f"of {MAX_RANDOM_TRIALS}")
+        # the report holds every trial's 2**n eigenvalues
+        _require_capacity(n_trials << layout.n_sites,
+                          f"{n_trials} x 2**{layout.n_sites} eigenvalues")
         for _ in range(n_trials):
             trials.append(tuple(float(x) for x in rng.uniform(0.2, 2.0, 3)))
     else:

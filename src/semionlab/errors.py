@@ -11,6 +11,13 @@ DENSE_ELEMENTS = 1 << 24
 # smaller.
 MAX_SQUARE_SITES = 4096
 
+# Most cavity levels a register may have, and most random trials one CLI
+# ``spectrum`` run may draw.  Each level and each trial is a step of a
+# Python loop, so millions of them would run for minutes while their
+# arrays still fit the budget.
+MAX_CAVITY_LEVELS = 64
+MAX_RANDOM_TRIALS = 4096
+
 
 class SemionLabError(Exception):
     """Base class for all package errors."""
@@ -26,8 +33,9 @@ class RepresentationError(SemionLabError):
 
 class CapacityError(SemionLabError):
     """A construction was requested above ``DENSE_ELEMENTS``, a lattice
-    above ``MAX_SQUARE_SITES``, or a register whose basis indices do not
-    fit 64 bits."""
+    above ``MAX_SQUARE_SITES``, a register above ``MAX_CAVITY_LEVELS``, a
+    run above ``MAX_RANDOM_TRIALS``, or a register whose basis indices do
+    not fit 64 bits."""
 
 
 def _require_capacity(count: int, what: str) -> int:

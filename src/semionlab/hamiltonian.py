@@ -107,7 +107,7 @@ class HamiltonianTerms:
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """``H amps`` with the qubit index last, through
         :func:`~semionlab.pauli.apply_pauli_sum` (one flip per term;
-        zeros for an empty term list)."""
+        zeros for an empty term list); a test reference."""
         return apply_pauli_sum(self.terms, self.n_sites, amps)
 
 
@@ -207,9 +207,9 @@ class DiagonalOracle:
     def sorted_spectrum(self) -> np.ndarray:
         return np.sort(self.enumerate_energies())
 
-    def ground_degeneracy(self, atol: float = 1e-9) -> int:
+    def ground_degeneracy(self) -> int:
         energies = self.enumerate_energies()
-        return int(np.count_nonzero(energies <= energies.min() + atol))
+        return int(np.count_nonzero(energies <= energies.min() + 1e-9))
 
 
 def predicted_ground_degeneracy(layout: HoneycombLayout, j_up: float,

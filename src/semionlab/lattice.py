@@ -27,9 +27,8 @@ Frozen coordinate conventions (see also ``docs/conventions.md``):
   stabilizers (``flip_columns``), which answers "which plaquettes does
   this string flip" in one XOR per set bit of the string.
 
-Only open boundary conditions are supported; asking for periodic ones is
-rejected explicitly.  Layouts are immutable after construction and all
-queries are pure.
+Only open boundary conditions exist; no option selects another.
+Layouts are immutable after construction and all queries are pure.
 """
 
 from __future__ import annotations
@@ -135,15 +134,6 @@ class SquareLattice:
         if not 0 <= site < self.n_sites:
             raise ValueError(f"square site {site} outside lattice")
         return divmod(site, self.cols)
-
-    def neighbors(self, site: int) -> list[int]:
-        row, col = self.coords(site)
-        out = []
-        if col > 0:
-            out.append(self.index(row, col - 1))
-        if col < self.cols - 1:
-            out.append(self.index(row, col + 1))
-        return out
 
     def chains(self) -> list[list[int]]:
         """Partition into maximal diagonal chains (one per row)."""
@@ -287,28 +277,10 @@ class HoneycombLayout:
         return "\n".join(lines) + "\n"
 
 
-def build_layout(rows: int, cols: int, boundary: str = "open") -> HoneycombLayout:
+def build_layout(rows: int, cols: int) -> HoneycombLayout:
     """Build the honeycomb layout for a ``rows x cols`` square lattice.
 
-    Parameters
-    ----------
-    rows, cols : int
-        Square-lattice dimensions; ``rows >= 1`` and ``cols >= 2``.
-    boundary : str
-        Only ``"open"`` is supported.  The deconfined excitations this
-        package studies require open boundaries, so anything else is
-        rejected rather than silently accepted.
+    ``rows >= 1`` and ``cols >= 2``.  Boundaries are always open: the
+    deconfined excitations this package studies require them.
     """
-    if boundary != "open":
-        raise ValueError(f"only open boundaries are supported, got {boundary!r}")
     return HoneycombLayout(SquareLattice(rows, cols))
-
-
-def layout_from_dict(data: dict) -> HoneycombLayout:
-    """Rebuild a layout from its serialized form, verifying consistency."""
-    layout = build_layout(int(data["rows"]), int(data["cols"]))
-    current = layout.to_dict()
-    if current != data:
-        raise ValueError("serialized layout disagrees with the frozen "
-                         "conventions of this build")
-    return layout

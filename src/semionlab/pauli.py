@@ -347,7 +347,8 @@ def apply_pauli_sum(terms, n_sites: int, amps: np.ndarray) -> np.ndarray:
     exactly.
 
     The first term writes the output and each later one is added from
-    one reused buffer.
+    one reused buffer.  Only the test reference ``HamiltonianTerms.apply``
+    calls it; the package's string operations work on a state's support.
     """
     terms = list(terms)
     tensor = _site_tensor(amps, n_sites)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    MAX_CAVITY_LEVELS,
     CapacityError,
     DimensionMismatchError,
     ZeroProjectionError,
@@ -33,7 +34,6 @@ from .pauli import PauliString, _gf2_reduce
 __all__ = [
     "StateVector",
     "basis_state",
-    "reference_state",
     "random_state",
     "apply_pauli",
     "expectation",
@@ -45,9 +45,12 @@ __all__ = [
 
 
 def _check_register(n_qubits: int, cavity_dim: int) -> None:
-    """Raise unless every basis index of the register fits an int64."""
+    """Raise unless the cavity levels and every basis index fit."""
     if cavity_dim < 1:
         raise DimensionMismatchError("cavity_dim must be >= 1")
+    if cavity_dim > MAX_CAVITY_LEVELS:
+        raise CapacityError(f"{cavity_dim} cavity levels, over the limit "
+                            f"of {MAX_CAVITY_LEVELS}")
     if cavity_dim << n_qubits >= 1 << 63:
         raise CapacityError(f"basis indices of {cavity_dim} x 2**{n_qubits} "
                             "states do not fit 64 bits")
@@ -204,15 +207,6 @@ def basis_state(n_qubits: int, bits: int = 0, cavity_dim: int = 1,
     return StateVector(n_qubits, cavity_dim, amps)
 
 
-def reference_state(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
-    """Product state with every honeycomb Z eigenvalue +1.
-
-    Under the bit convention that is the all-bits-zero register; it seeds
-    the stabilizer projection of :func:`project_ground`.
-    """
-    return basis_state(layout.n_sites, 0, cavity_dim)
-
-
 def random_state(n_qubits: int, cavity_dim: int = 1,
                  rng: np.random.Generator | None = None) -> StateVector:
     rng = rng or np.random.default_rng()
@@ -224,14 +218,15 @@ def random_state(n_qubits: int, cavity_dim: int = 1,
 def apply_pauli(state: StateVector, op: PauliString) -> StateVector:
     """Apply a Pauli string to the qubit register; cavity factor untouched.
 
-    Each entry moves to its image index (see :func:`_pauli_images`) and
-    is multiplied by a unit, so the values stay exact; the images are then
+    Each entry at ``t`` moves to ``t ^ x_mask`` and is multiplied by the
+    unit :func:`_factor`, so the values stay exact; the images are then
     sorted.
     """
-    index, factor = _pauli_images([(1, op)], state.n_qubits, state.index)
-    order = np.argsort(index[0])
-    return _on_support(state.n_qubits, state.cavity_dim, index[0][order],
-                       (factor[0] * state.values)[order])
+    _check_operator(op, state.n_qubits)
+    index = state.index ^ op.x_mask
+    order = np.argsort(index)
+    return _on_support(state.n_qubits, state.cavity_dim, index[order],
+                       (_factor(op, state.index) * state.values)[order])
 
 
 def overlap(u: StateVector, v: StateVector) -> complex:
@@ -274,19 +269,19 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
     """Stabilized ground state: project every plaquette family to +1.
 
     The result is ``(1 + W)`` for the up- and down-family operator of
-    every bond plaquette, in that order, applied to the reference state
-    and normalized: a +1 eigenstate of every plaquette operator and of
-    every link ZZ.  It is built and returned on its support, in the
-    zero-photon block; every other block is zero.  Starting from basis
-    index 0, each ``W = i**p X(x) Z(z)`` maps basis index ``t`` to
-    ``t ^ x`` with the factor ``i**p (-1)**popcount(t & z)``.  If ``x``
-    is outside the GF(2) span of the x-masks so far, the image is new
-    and the support doubles; otherwise ``W`` permutes the support and its
-    image is added in place.  So the support has ``2**rank`` entries,
-    ``rank`` that of the plaquette x-masks, and that count is checked
-    against the budget before any array is built.  A projection that
-    annihilates the state would signal an inconsistent sign convention
-    and raises instead of silently renormalizing.  The phase is fixed by
+    every bond plaquette, in that order, applied to basis index 0 (every
+    site Z +1) and normalized: a +1 eigenstate of every plaquette
+    operator and of every link ZZ.  It is built and returned on its
+    support, in the zero-photon block; every other block is zero.  Each
+    ``W = i**p X(x) Z(z)`` maps basis index ``t`` to ``t ^ x`` with the
+    factor :func:`_factor`.  If ``x`` is outside the GF(2) span of the
+    x-masks so far, the image is new and the support doubles; otherwise
+    ``W`` permutes the support and its image is added in place.  So the
+    support has ``2**rank`` entries, ``rank`` that of the plaquette
+    x-masks, and that count is checked against the budget before any
+    array is built.  A projection that annihilates the state would signal
+    an inconsistent sign convention and raises instead of silently
+    renormalizing.  The phase is fixed by
     :meth:`StateVector.with_fixed_phase`.  The tests keep the
     full-register projection loop as the reference.
     """
@@ -308,8 +303,7 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
     idx = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=complex)
     for (plq, family, op), dep in zip(steps, deps):
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & op.z_mask) & 1)
-        image = (1j ** op.phase_exp * signs) * vals
+        image = _factor(op, idx) * vals
         if dep is None:
             idx = np.concatenate((idx, idx ^ op.x_mask))
             vals = np.concatenate((vals, image))

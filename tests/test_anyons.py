@@ -16,15 +16,12 @@ from semionlab.anyons import (
     braid_phase,
     braid_phase_on_state,
     cavity_superposition,
-    conjugate_by_hadamard,
-    conjugate_by_phase_rotation,
     fuse_check,
     interferometry_run,
     jc_swap,
     predicted_flips,
     qnd_closed_form_deviation,
     qnd_unitary,
-    string_basis_change,
     vortex_map,
 )
 from semionlab.errors import (
@@ -392,55 +389,6 @@ class TestControlledString:
             for n_c in range(4):
                 want = np.linalg.matrix_power(u1, n_c) @ st.blocks()[n_c]
                 assert np.max(np.abs(out.blocks()[n_c] - want)) < 1e-14
-
-
-class TestBasisChange:
-    def test_hadamard_z_to_x_single_site(self):
-        got = string_basis_change("x", (0,), 1)
-        assert got == PauliString.single(1, 0, "X")
-
-    def test_y_string_matches_direct_product_dense(self):
-        for n in (1, 2, 3):
-            sites = tuple(range(n))
-            got = string_basis_change("y", sites, n)
-            want = PauliString.from_letters(n, {s: "Y" for s in sites})
-            assert np.allclose(got.to_matrix(), want.to_matrix())
-
-    def test_conjugation_is_dense_similarity(self):
-        # independent oracle: conjugate dense matrices by H and R
-        h1 = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-        r1 = np.diag([np.exp(-1j * math.pi / 4), np.exp(1j * math.pi / 4)])
-        rng = np.random.default_rng(6)
-        n = 3
-        hd = 1
-        rd = 1
-        for _ in range(n):
-            hd = np.kron(hd, h1)
-            rd = np.kron(rd, r1)
-        mask = (1 << n) - 1
-        for _ in range(10):
-            p = PauliString(n, int(rng.integers(0, 8)),
-                            int(rng.integers(0, 8)), int(rng.integers(0, 4)))
-            assert np.allclose(conjugate_by_hadamard(p, mask).to_matrix(),
-                               hd @ p.to_matrix() @ hd.conj().T)
-            assert np.allclose(conjugate_by_phase_rotation(p, mask).to_matrix(),
-                               rd @ p.to_matrix() @ rd.conj().T)
-
-    def test_conjugation_preserves_braid_phases(self):
-        layout = build_layout(2, 3)
-        mask = (1 << layout.n_sites) - 1
-        loop = StringSpec.z_string(layout, (0, 1, 4))
-        cross = StringSpec.x_string(layout, (1,))
-        before = braid_phase(loop, cross)
-        rot_loop = StringSpec("z", loop.sites,
-                              conjugate_by_hadamard(loop.operator, mask))
-        rot_cross = StringSpec("x", cross.sites,
-                               conjugate_by_hadamard(cross.operator, mask))
-        assert braid_phase(rot_loop, rot_cross) == before
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            string_basis_change("q", (0,), 2)
 
 
 class TestInterferometry:

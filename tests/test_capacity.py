@@ -6,7 +6,12 @@ from functools import partial
 import pytest
 
 from semionlab.anyons import QndParams, qnd_closed_form_deviation
-from semionlab.errors import DENSE_ELEMENTS, MAX_SQUARE_SITES, CapacityError
+from semionlab.errors import (
+    DENSE_ELEMENTS,
+    MAX_CAVITY_LEVELS,
+    MAX_SQUARE_SITES,
+    CapacityError,
+)
 from semionlab.hamiltonian import (
     DiagonalOracle,
     HamiltonianTerms,
@@ -16,7 +21,7 @@ from semionlab.hamiltonian import (
 )
 from semionlab.lattice import SquareLattice, build_layout
 from semionlab.pauli import PauliString
-from semionlab.states import basis_state, project_ground
+from semionlab.states import basis_state, project_ground, random_state
 
 
 def _one_z_term(n: int) -> HamiltonianTerms:
@@ -72,3 +77,30 @@ def test_lattice_size_limit_checked_before_any_bond(rows, cols):
 
 def test_lattice_size_limit_is_inclusive():
     assert SquareLattice(64, 64).n_sites == MAX_SQUARE_SITES
+
+
+# Every state builder and the QND deviation, one cavity level past the
+# limit: each fits the array budget, so only the level limit refuses it.
+CAVITY_CASES = {
+    "basis_state": partial(basis_state, 2, cavity_dim=MAX_CAVITY_LEVELS + 1),
+    "random_state": partial(random_state, 2, MAX_CAVITY_LEVELS + 1),
+    "project_ground": partial(project_ground, build_layout(1, 2),
+                              MAX_CAVITY_LEVELS + 1),
+    "qnd_deviation": partial(qnd_closed_form_deviation,
+                             QndParams.canonical(1.0, (0,)), 2,
+                             MAX_CAVITY_LEVELS + 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CAVITY_CASES))
+def test_cavity_level_limit(name):
+    with pytest.raises(CapacityError) as info:
+        CAVITY_CASES[name]()
+    assert str(MAX_CAVITY_LEVELS) in str(info.value)
+
+
+def test_cavity_level_limit_is_inclusive():
+    params = QndParams.canonical(1.0, (0,))
+    assert qnd_closed_form_deviation(params, 2, MAX_CAVITY_LEVELS) < 1e-10
+    assert basis_state(2, cavity_dim=MAX_CAVITY_LEVELS).cavity_dim == \
+        MAX_CAVITY_LEVELS

@@ -15,7 +15,6 @@ from semionlab.circuit import (
     chain_couplings,
     charging_energy,
     jc_resonance,
-    long_range_estimate,
     long_range_warning,
     qnd_frequencies,
     two_device_couplings,
@@ -74,7 +73,7 @@ class TestPairCouplings:
     def test_single_device_terms_reported_not_included(self):
         net = identical_network(n_g=0.3)
         c = two_device_couplings(net)
-        assert not c.include_single_device_terms
+        assert c.report()["single_device_terms_included"] is False
         assert c.single_device_z[0] == pytest.approx(
             -0.5 * c.eps_a * (1 - 0.6), rel=1e-12)
         at_degeneracy = two_device_couplings(identical_network(n_g=0.5))
@@ -193,20 +192,11 @@ class TestScalingAudits:
 
 
 class TestLongRange:
-    def test_nearest_neighbor_is_beta(self):
-        assert long_range_estimate(3, 4, 0.05) == 0.05
-
-    def test_next_nearest_value(self):
-        assert long_range_estimate(1, 3, 0.05) == pytest.approx(0.0025)
-
-    def test_bad_beta_rejected(self):
-        with pytest.raises(ValueError):
-            long_range_estimate(0, 1, 1.0)
-
     def test_warning_threshold_arithmetic(self):
         # warn iff beta^2 > threshold * beta / (1 + 2 beta)
         for beta in (0.005, 0.009, 0.02, 0.05):
-            rec = long_range_warning(beta, threshold=0.01)
+            rec = long_range_warning(beta)
+            assert rec["threshold"] == 0.01
             want = beta ** 2 > 0.01 * beta / (1 + 2 * beta)
             assert rec["warn"] == want
         assert long_range_warning(0.05)["warn"] is True

@@ -4,8 +4,11 @@ import argparse
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,9 @@ from hypothesis import strategies as st
 
 from semionlab import __version__
 from semionlab.cli import _to_csv, _to_json, main, run_spectrum
+from semionlab.errors import MAX_CAVITY_LEVELS, MAX_RANDOM_TRIALS
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def write_config(tmp_path, name, payload):
@@ -26,6 +32,28 @@ def run(args, capsys):
     code = main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class _Hang(BaseException):
+    """Raised by the alarm of :func:`run_bounded`; a ``BaseException``, so
+    no handler in the package catches it."""
+
+
+def run_bounded(args, capsys, seconds=4.0):
+    """:func:`run` under an alarm, so a run that hangs fails, not stalls."""
+    def stop(signum, frame):
+        raise _Hang
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return run(args, capsys)
+    except _Hang:
+        capsys.readouterr()
+        pytest.fail(f"{args} still running after {seconds} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestLattice:
@@ -105,6 +133,22 @@ class TestSpectrum:
         code, out, err = run(["spectrum", "--config", cfg], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: random_trials") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("rows,cols,trials,limit", [
+        (1, 4, 10**6, str(MAX_RANDOM_TRIALS)),
+        (1, 4, 10**30, str(MAX_RANDOM_TRIALS)),
+        (1, 2, MAX_RANDOM_TRIALS + 1, str(MAX_RANDOM_TRIALS)),
+        # 257 spectra of 2**16 eigenvalues pass the 2**24 budget
+        (2, 4, 257, "dense budget"),
+    ])
+    def test_trial_limits_exit_2(self, tmp_path, capsys, rows, cols, trials,
+                                 limit):
+        cfg = write_config(tmp_path, "spec.json", {
+            "rows": rows, "cols": cols, "random_trials": trials})
+        code, out, err = run_bounded(["spectrum", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert limit in err
 
     def test_random_trials_deterministic_under_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "spec.json",
@@ -256,6 +300,16 @@ class TestQnd:
         code, out, err = run(["qnd", "--config", cfg], capsys)
         assert code == 2 and out == ""
         assert err == "error: site -1 outside register\n"
+
+    @pytest.mark.parametrize("levels", [MAX_CAVITY_LEVELS + 1, 10**6])
+    def test_cavity_level_limit_exits_2(self, tmp_path, capsys, levels):
+        # 10**6 levels at 4 qubits pass the 2**24 budget
+        cfg = write_config(tmp_path, "q.json", {
+            "n_qubits": 4, "sites": [0, 1], "cavity_levels": levels})
+        code, out, err = run_bounded(["qnd", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: {levels} cavity levels, over the limit of "
+                       f"{MAX_CAVITY_LEVELS}\n")
 
     def test_negative_register_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "q.json",
@@ -576,6 +630,7 @@ class TestParser:
         lat = write_config(tmp_path, "lat.json", {"rows": 1, "cols": 2})
         qnd = write_config(tmp_path, "q.json",
                            {"n_qubits": 3, "sites": [0, 2]})
+        env = {**os.environ, "PYTHONPATH": SRC}
         # flags set by one call must not leak into the next
         for argv in (["spectrum", "--config", spec, "--seed", "5",
                       "--format", "csv"],
@@ -583,11 +638,12 @@ class TestParser:
                      ["spectrum", "--config", spec],
                      ["qnd", "--config", qnd, "--seed", "3"],
                      ["qnd", "--config", qnd, "--format", "csv"]):
-            _, out, _ = run(argv, capsys)
+            code, out, _ = run(argv, capsys)
             proc = subprocess.run(
                 [sys.executable, "-m", "semionlab.cli", *argv],
-                capture_output=True, text=True)
-            assert out == proc.stdout
+                capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stdout) == (code, out), \
+                f"{argv}: fresh process stderr: {proc.stderr!r}"
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -602,3 +658,108 @@ class TestParser:
         err = capsys.readouterr().err
         assert err.startswith("usage: semionlab ")
         assert "invalid choice: 'nosuch'" in err
+
+
+# -- the input contract, one key at a time ------------------------------
+
+# per subcommand, a small valid config with every optional key set
+_FULL_CONFIGS = {
+    "lattice": {"rows": 1, "cols": 2},
+    "spectrum": {"rows": 1, "cols": 2, "j_up": 1.0, "j_down": 0.5, "u": 0.3,
+                 "random_trials": 2, "tolerance": 1e-10},
+    # the couplings are read only when no trials are drawn
+    "spectrum-couplings": {"rows": 1, "cols": 2, "j_up": 1.0, "j_down": 0.5,
+                           "u": 0.3, "tolerance": 1e-10},
+    "ground": {"rows": 1, "cols": 2, "j_up": 1.0, "j_down": 0.5, "u": 0.3},
+    "braid": {"rows": 1, "cols": 2,
+              "loop": {"family": "z", "sites": [0, 1]},
+              "crossing": {"family": "x", "sites": [1]},
+              "state_check": True},
+    "qnd": {"n_qubits": 3, "sites": [0, 2], "chi": 1.0, "tau": math.pi / 2,
+            "cavity_levels": 2, "tolerance": 1e-10},
+    "circuit": {**_CIRCUIT, "n_g": 0.3, "c_c": 30e-18, "c_a": 25e-18,
+                "c_b": 20e-18, "omega_c": 3e10, "delta": 1e9, "g": 1e8,
+                "temperature": 0.02},
+}
+
+_EDGE_VALUES = [0, 1, -1, 10**6, 10**30, 1e-300, -1e-300, 1e300, -1e300,
+                _NAN, _INF, -_INF, "a string", None, True, [], {}]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _contract_breach(code, out, err, fmt, caught) -> str | None:
+    """What the run broke of the CLI contract, or ``None``."""
+    if caught:
+        return f"warnings {[str(w.message) for w in caught]}"
+    if code not in (0, 1, 2):
+        return f"exit code {code!r}"
+    if code == 2:
+        if out or not err.startswith("error: ") or err.count("\n") != 1 \
+                or not err.endswith("\n"):
+            return f"exit 2 with stdout {out[:80]!r}, stderr {err!r}"
+        return None
+    if err:
+        return f"exit {code} with stderr {err!r}"
+    try:
+        if fmt == "json":
+            json.loads(out, parse_constant=_refuse_constant)
+        else:
+            for cell in out.replace("\n", ",").split(","):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite cell {cell!r}")
+    except ValueError as exc:
+        return f"exit {code} with bad stdout: {exc}"
+    return None
+
+
+def _one_key_mutations(base):
+    """``(label, config)`` for each key of ``base``, and each key of an
+    object value, set to each edge value."""
+    for key, old in base.items():
+        for value in _EDGE_VALUES:
+            yield f"{key}={value!r}", {**base, key: value}
+            for sub in old if isinstance(old, dict) else ():
+                yield (f"{key}.{sub}={value!r}",
+                       {**base, key: {**old, sub: value}})
+
+
+@pytest.mark.parametrize("command", sorted(_FULL_CONFIGS))
+def test_every_one_key_mutation_keeps_the_contract(tmp_path, capsys,
+                                                   command):
+    """Each key of a full config set to each edge value, in JSON and CSV:
+    exit 0, 1 or 2; exit 2 with no stdout and one ``error:`` line; else
+    no stderr and stdout without NaN or Infinity.  A run still going
+    after two seconds counts as a breach."""
+    base = _FULL_CONFIGS[command]
+    command = command.split("-")[0]
+    assert run([command, "--config", write_config(tmp_path, "base.json",
+                                                  base)], capsys)[0] == 0
+    breaches = []
+    for mutation, payload in _one_key_mutations(base):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        for fmt in ("json", "csv"):
+            label = f"{mutation} --format {fmt}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code, out, err = run_bounded(
+                        [command, "--config", cfg, "--format", fmt],
+                        capsys, seconds=2.0)
+                except pytest.fail.Exception as exc:
+                    breaches.append(f"{label}: {exc}")
+                    continue
+                except Exception as exc:
+                    capsys.readouterr()
+                    breaches.append(f"{label}: raised {exc!r}")
+                    continue
+            breach = _contract_breach(code, out, err, fmt, caught)
+            if breach:
+                breaches.append(f"{label}: {breach}")
+    assert not breaches, "\n".join(breaches)

@@ -9,7 +9,6 @@ from semionlab.lattice import (
     UP,
     WHITE,
     build_layout,
-    layout_from_dict,
 )
 from semionlab.pauli import PauliString
 
@@ -54,11 +53,6 @@ def test_degenerate_inputs_rejected():
         build_layout(0, 3)
     with pytest.raises(ValueError):
         build_layout(1, 1)  # no diagonal bond would exist
-
-
-def test_periodic_boundaries_rejected():
-    with pytest.raises(ValueError):
-        build_layout(2, 2, boundary="periodic")
 
 
 class TestRankOrder:
@@ -173,20 +167,6 @@ class TestChains:
         for chain in layout.chains():
             for a, b in zip(chain, chain[1:]):
                 assert (a, b) in bonds or (b, a) in bonds
-
-    def test_neighbors_symmetric_irreflexive(self):
-        sq = build_layout(2, 4).square
-        for s in range(sq.n_sites):
-            for t in sq.neighbors(s):
-                assert t != s
-                assert s in sq.neighbors(t)
-
-
-def test_serialization_round_trip():
-    layout = build_layout(2, 3)
-    data = layout.to_dict()
-    rebuilt = layout_from_dict(data)
-    assert rebuilt.to_dict() == data
 
 
 def test_text_report_mentions_every_site():

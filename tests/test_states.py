@@ -40,28 +40,27 @@ from semionlab.states import (
     overlap,
     project_ground,
     random_state,
-    reference_state,
 )
 
 
 class TestReferenceState:
     def test_every_site_z_is_plus_one(self):
         layout = build_layout(2, 3)
-        ref = reference_state(layout)
+        ref = basis_state(layout.n_sites)
         for s in range(layout.square.n_sites):
             for color in (BLACK, WHITE):
                 assert expectation(ref, z_op(layout, s, color)).real == \
                     pytest.approx(1.0)
 
     def test_norm_one(self):
-        ref = reference_state(build_layout(1, 2))
+        ref = basis_state(build_layout(1, 2).n_sites)
         assert ref.norm() == pytest.approx(1.0)
 
     def test_plaquette_expectations_vanish(self):
         # recorded behaviour: the raw reference state carries no flux
         # information, every plaquette operator flips spins on it
         layout = build_layout(2, 3)
-        ref = reference_state(layout)
+        ref = basis_state(layout.n_sites)
         for plq in layout.bond_plaquettes:
             for w in (plq.up, plq.down):
                 val = expectation(ref, w)
@@ -75,7 +74,7 @@ def _reference_ground(layout, cavity_dim=1):
     down, per bond plaquette, then the normalized, phase-fixed qubit
     state in the zero-photon block.
     """
-    amps = reference_state(layout).amplitudes
+    amps = basis_state(layout.n_sites).amplitudes
     for plq in layout.bond_plaquettes:
         for op in (plq.up, plq.down):
             amps = amps + apply_pauli_sum([(1, op)], layout.n_sites, amps)
@@ -188,7 +187,7 @@ class TestProjectGround:
         # projecting onto both signs of the same stabilizer must
         # annihilate the state and be reported, not silently normalized
         layout = build_layout(1, 2)
-        state = reference_state(layout)
+        state = basis_state(layout.n_sites)
         op = link_zz_op(layout, 0)
         amps = state.blocks()
         # (1 - ZZ) on ZZ=+1
