@@ -20,18 +20,16 @@ phase follows from the chosen coupling sign and is asserted in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, _require_capacity
-from .lattice import HoneycombLayout
+from .lattice import DOWN, UP, HoneycombLayout
 from .operators import REP_HONEYCOMB, x_string_op
 from .pauli import (
     PauliString,
-    _anticommuting,
     _check_compatible,
-    _set_bits,
     _site_mask,
     commutes,
     multiply,
@@ -145,25 +143,60 @@ def vortex_map(state: StateVector, layout: HoneycombLayout) -> VortexMap:
                            for up, down in zip(values[0::2], values[1::2])))
 
 
-def predicted_flips(layout: HoneycombLayout, op: PauliString) -> dict:
-    """Plaquettes whose stabilizer anticommutes with ``op``, per family.
+def _flip_masks(layout: HoneycombLayout, op: PauliString) -> tuple[int, int]:
+    """The plaquettes whose up and down stabilizers anticommute with
+    ``op``, as two bitmasks (bit ``k`` for plaquette ``k``).
 
     Every stabilizer of a layout has the same register and tag, so
     ``op`` is checked against the first one only (raising as
     :func:`~semionlab.pauli.commutes` would).  Then ``op`` anticommutes
     with ``W`` iff ``x_mask << n | z_mask`` of ``op`` and
-    ``z_mask << n | x_mask`` of ``W`` share an odd number of bits.  The
-    layout's column table of each family (``flip_columns``) gives every
-    such ``W`` at once: the cost is one XOR per set bit of ``op`` and one
-    step per flipped plaquette, whatever the number of plaquettes.
+    ``z_mask << n | x_mask`` of ``W`` share an odd number of bits.  Entry
+    ``b`` of a family's column table (``layout.flip_columns``) is the
+    mask of the ``W`` whose vector has bit ``b``, so the XOR of the
+    entries at the set bits of ``op``'s vector is the mask of the
+    flipped ones: one XOR per set bit and family, whatever the number of
+    plaquettes.
     """
     plqs = layout.bond_plaquettes
     if plqs:
         _check_compatible(op, plqs[0].up)
-    n = op.n_sites
-    bits = _set_bits(op.x_mask << n | op.z_mask)
-    return {family: tuple(reversed(_set_bits(_anticommuting(columns, bits))))
-            for family, columns in layout.flip_columns.items()}
+    up_columns = layout.flip_columns[UP]
+    down_columns = layout.flip_columns[DOWN]
+    up = down = 0
+    # site j of the x half is bit n + j of the vector, of the z half bit j
+    for mask, shift in ((op.x_mask, op.n_sites), (op.z_mask, 0)):
+        while mask:
+            j = mask.bit_length() - 1
+            up ^= up_columns[j + shift]
+            down ^= down_columns[j + shift]
+            mask ^= 1 << j
+    return up, down
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        j = mask.bit_length() - 1
+        out.append(j)
+        mask ^= 1 << j
+    return tuple(reversed(out))
+
+
+def _flip_dict(masks: tuple[int, int]) -> dict:
+    return {UP: _indices(masks[0]), DOWN: _indices(masks[1])}
+
+
+def predicted_flips(layout: HoneycombLayout, op: PauliString) -> dict:
+    """Plaquettes whose stabilizer anticommutes with ``op``, per family.
+
+    ``{"up": (...), "down": (...)}``, each an ascending tuple of
+    plaquette indices, read off the layout's column tables in one pass
+    over the set bits of ``op`` (see :func:`_flip_masks`).  An ``op`` on
+    another register or with another representation tag raises.
+    """
+    return _flip_dict(_flip_masks(layout, op))
 
 
 # -- braiding ----------------------------------------------------------
@@ -194,47 +227,62 @@ def braid_phase_on_state(loop: StringSpec, crossing: StringSpec,
 
 @dataclass(frozen=True)
 class FusionResult:
+    """The fusion channel of two strings (:func:`fuse_check`).
+
+    ``flips_first``, ``flips_second`` and ``flips_composite`` are the
+    :func:`predicted_flips` of the two strings and of their product.
+    They are held as up and down plaquette bitmasks and decoded into
+    index tuples only when read.
+    """
+
     same_family: bool
     shared_sites: tuple[int, ...]
     residual: PauliString
     residual_is_identity: bool
     is_vacuum: bool
-    flips_first: dict
-    flips_second: dict
-    flips_composite: dict
+    flip_masks: tuple[tuple[int, int], ...] = field(repr=False)
+
+    @property
+    def flips_first(self) -> dict:
+        return _flip_dict(self.flip_masks[0])
+
+    @property
+    def flips_second(self) -> dict:
+        return _flip_dict(self.flip_masks[1])
+
+    @property
+    def flips_composite(self) -> dict:
+        return _flip_dict(self.flip_masks[2])
 
 
 def fuse_check(layout: HoneycombLayout, s1: StringSpec,
                s2: StringSpec) -> FusionResult:
     """Fuse two strings and classify the composite channel.
 
-    The composite's flipped-plaquette pattern is the symmetric
-    difference of the individual patterns (Z2 label addition); the
-    vacuum channel is reached when the composite commutes with every
-    plaquette stabilizer, pair annihilation being the special case where
-    the residual operator is the identity up to phase.
+    The composite's flipped-plaquette pattern must be the symmetric
+    difference of the individual patterns (Z2 label addition): on the
+    flip bitmasks of :func:`_flip_masks` that is one XOR per family, and
+    a mismatch raises ``AssertionError``.  The vacuum channel is reached
+    when the composite commutes with every plaquette stabilizer, pair
+    annihilation being the special case where the residual operator is
+    the identity up to phase.
     """
     if s1.operator.n_sites != s2.operator.n_sites:
         raise DimensionMismatchError("string registers differ")
     residual = multiply(s1.operator, s2.operator)
-    f1 = predicted_flips(layout, s1.operator)
-    f2 = predicted_flips(layout, s2.operator)
-    fc = predicted_flips(layout, residual)
-    for fam in ("up", "down"):
-        expect = tuple(sorted(set(f1[fam]) ^ set(f2[fam])))
-        if tuple(sorted(fc[fam])) != expect:
-            raise AssertionError("flip pattern is not the symmetric "
-                                 "difference; phase bookkeeping broken")
-    vacuum = not fc["up"] and not fc["down"]
+    f1 = _flip_masks(layout, s1.operator)
+    f2 = _flip_masks(layout, s2.operator)
+    fc = _flip_masks(layout, residual)
+    if fc != (f1[0] ^ f2[0], f1[1] ^ f2[1]):
+        raise AssertionError("flip pattern is not the symmetric "
+                             "difference; phase bookkeeping broken")
     return FusionResult(
         same_family=s1.family == s2.family,
         shared_sites=tuple(sorted(set(s1.sites) & set(s2.sites))),
         residual=residual,
         residual_is_identity=residual.is_identity_mask(),
-        is_vacuum=vacuum,
-        flips_first=f1,
-        flips_second=f2,
-        flips_composite=fc,
+        is_vacuum=fc == (0, 0),
+        flip_masks=(f1, f2, fc),
     )
 
 

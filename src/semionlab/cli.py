@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import math
+import operator
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -363,6 +364,7 @@ def _to_csv(report: dict) -> str:
 
 
 _SCALARS = frozenset((str, int, float, bool, type(None)))
+_SEQUENCES = frozenset((list, tuple))
 
 
 @functools.cache
@@ -372,6 +374,55 @@ def _leaf_encoder(inner: str):
                             separators=(",\n" + inner, ": ")).encode
 
 
+def _encode_each(values: list, pad: str) -> list[str]:
+    """``[_to_json(v, pad) for v in values]``, written a column at a time.
+
+    Scalars are one C-encoder call on the whole list, split at ``",\n"``:
+    an encoded scalar never holds a raw newline.  Dicts that share one
+    set of string keys, and lists that share one length, are written as
+    columns, one per key or position, each by one recursive call; each
+    item is then one ``%`` format of its row of column texts, with any
+    ``%`` of a key escaped.  Other lists encode their scalars in one call
+    and the rest one by one.
+    """
+    if not values:
+        return []
+    kinds = set(map(type, values))
+    if kinds <= _SCALARS:
+        return _leaf_encoder("")(values)[1:-1].split(",\n")
+    inner = pad + "  "
+    sep = ",\n" + inner
+    rows = None
+    if kinds == {dict}:
+        keys = values[0].keys()
+        # dicts of one size that all hold the first one's keys share them
+        if keys and all(type(key) is str for key in keys) and \
+                len(set(map(len, values))) == 1:
+            names = sorted(keys)
+            try:
+                rows = list(map(operator.itemgetter(*names), values))
+            except KeyError:
+                pass
+            else:
+                if len(names) == 1:
+                    rows = [(value,) for value in rows]
+                template = "{\n" + inner + sep.join(
+                    encode_basestring_ascii(key).replace("%", "%%") + ": %s"
+                    for key in names) + "\n" + pad + "}"
+    elif kinds <= _SEQUENCES and len(set(map(len, values))) == 1 and \
+            values[0]:
+        rows = values
+        template = ("[\n" + inner + sep.join(["%s"] * len(values[0]))
+                    + "\n" + pad + "]")
+    if rows is not None:
+        texts = [_encode_each(list(col), inner) for col in zip(*rows)]
+        return list(map(template.__mod__, zip(*texts)))
+    scalars = iter(_encode_each(
+        [v for v in values if type(v) in _SCALARS], pad))
+    return [next(scalars) if type(v) in _SCALARS else _to_json(v, pad)
+            for v in values]
+
+
 def _to_json(obj, pad: str = "") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)``, byte
     for byte, with a 1-D float64 array written as the list ``.tolist()``
@@ -379,7 +430,8 @@ def _to_json(obj, pad: str = "") -> str:
 
     ``json`` indents only in its pure-Python encoder.  A container whose
     values are all scalars is instead one C-encoder call with the newline
-    and indent in its item separator; other containers recurse.  An array
+    and indent in its item separator; other containers write their values
+    through :func:`_encode_each`, which batches them by column.  An array
     is written one run of equal neighbours at a time: each run's value is
     formatted once and its text repeated.
     """
@@ -411,11 +463,13 @@ def _to_json(obj, pad: str = "") -> str:
     if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
         body = _leaf_encoder(inner)(obj)[1:-1]
     elif is_dict:
-        body = (",\n" + inner).join(
-            encode_basestring_ascii(key) + ": " + _to_json(val, inner)
-            for key, val in sorted(obj.items()))
+        keys = sorted(obj)
+        body = (",\n" + inner).join(map(
+            "%s: %s".__mod__,
+            zip(map(encode_basestring_ascii, keys),
+                _encode_each([obj[key] for key in keys], inner))))
     else:
-        body = (",\n" + inner).join(_to_json(val, inner) for val in obj)
+        body = (",\n" + inner).join(_encode_each(obj, inner))
     opening, closing = "{}" if is_dict else "[]"
     return f"{opening}\n{inner}{body}\n{pad}{closing}"
 

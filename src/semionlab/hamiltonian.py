@@ -34,15 +34,12 @@ from .operators import (
     REP_DEVICE,
     REP_HONEYCOMB,
     device_qubit,
-    link_zz_op,
     n_device_qubits,
 )
 from .pauli import (
     PauliString,
-    _anticommuting,
     _check_compatible,
     _gf2_reduce,
-    _set_bits,
     _z_signs,
     apply_pauli_sum,
     multiply_all,
@@ -81,27 +78,44 @@ class HamiltonianTerms:
         naming the first tag and the first other tag in term order.  Two
         terms commute iff ``x_mask << n | z_mask`` of one and
         ``z_mask << n | x_mask`` of the other share an even number of
-        bits (the symplectic product).  The terms are read once, in
-        order, against a column table of the earlier ones (see
-        :func:`~semionlab.pauli._anticommuting`): a term costs one XOR
-        per set bit of its vector and one OR per set bit to enter the
-        table, so the whole check grows with the total term weight, not
-        with the number of pairs.
+        bits (the symplectic product): with X on site ``j`` a term
+        anticommutes with each term that has Z there, and with Z on site
+        ``j`` with each that has X there.  The terms are read once, in
+        order, into two column tables: entry ``j`` of ``x_cols`` (of
+        ``z_cols``) is the bitmask of the terms read so far with X (Z)
+        on site ``j``.  One loop per mask, at each set bit, XORs the
+        other table's entry into the term's row and enters the term
+        itself into its own table, so bit ``k`` of the row is the
+        symplectic product with term ``k``; the row is read for the
+        earlier terms only (``row & (term - 1)``), since a Y site has
+        entered the term before its Z half is read.  A term costs two
+        steps per set bit, so the whole check grows with the total term
+        weight, not with the number of pairs.
         """
         tagged = [op for _, op in self.terms if op.rep is not None]
         for op in tagged:
             if op.rep != tagged[0].rep:
                 _check_compatible(tagged[0], op)  # raises
-        n = self.n_sites
-        columns = [0] * (2 * n)
-        for k, (_, op) in enumerate(self.terms):
-            bits = _set_bits(op.x_mask << n | op.z_mask)
-            if _anticommuting(columns, bits):
+        x_cols = [0] * self.n_sites
+        z_cols = [0] * self.n_sites
+        term = 1
+        for _, op in self.terms:
+            row = 0
+            mask = op.x_mask
+            while mask:
+                j = mask.bit_length() - 1
+                row ^= z_cols[j]
+                x_cols[j] |= term
+                mask ^= 1 << j
+            mask = op.z_mask
+            while mask:
+                j = mask.bit_length() - 1
+                row ^= x_cols[j]
+                z_cols[j] |= term
+                mask ^= 1 << j
+            if row & (term - 1):
                 return False
-            # the swapped vector has the same bits with the halves exchanged
-            term = 1 << k
-            for b in bits:
-                columns[b - n if b >= n else b + n] |= term
+            term <<= 1
         return True
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
@@ -122,11 +136,13 @@ def build_spin_hamiltonian(layout: HoneycombLayout, j_up: float,
     is the property this builder is held to.
     """
     plqs = layout.bond_plaquettes
+    n = layout.n_sites
+    # the link ZZ of square site s: Z on its black and white ranks
     terms = ([(-j_up, plq.up) for plq in plqs]
              + [(-j_down, plq.down) for plq in plqs]
-             + [(-u, link_zz_op(layout, site))
-                for site in range(layout.square.n_sites)])
-    return HamiltonianTerms(REP_HONEYCOMB, layout.n_sites, tuple(terms))
+             + [(-u, PauliString(n, 0, 1 << b | 1 << w, 0, REP_HONEYCOMB))
+                for b, w in zip(layout._black, layout._white)])
+    return HamiltonianTerms(REP_HONEYCOMB, n, tuple(terms))
 
 
 def build_device_hamiltonian(layout: HoneycombLayout, j_up: float,

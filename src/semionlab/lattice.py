@@ -13,8 +13,10 @@ Frozen coordinate conventions (see also ``docs/conventions.md``):
   line ``r + 1``.
 * The Jordan-Wigner rank sorts sites by (line, horizontal position):
   a higher line means a larger rank, and within one line the site to the
-  right has the larger rank.  Honeycomb sites are identified with their
-  rank everywhere else in the package.
+  right has the larger rank.  That order has a closed form, which the
+  layout stores as one rank table per color (see ``HoneycombLayout``).
+  Honeycomb sites are identified with their rank everywhere else in the
+  package.
 * Each diagonal bond owns one plaquette.  In the bulk it is the hexagon
   between the two links, listed in label order 1..6 =
   (left black, left white, top black, right white, right black, bottom
@@ -33,6 +35,7 @@ Layouts are immutable after construction and all queries are pure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 from .errors import MAX_SQUARE_SITES, CapacityError
@@ -53,15 +56,6 @@ REP_HONEYCOMB = "honeycomb_spin"
 
 UP = "up"      # psi species, realized by device chain a
 DOWN = "down"  # chi species, realized by device chain b
-
-# Plaquette label order 1..6: the up family reads YXZYXZ and the down
-# family XYZXYZ, so both carry X on the four link labels (1, 2, 4, 5),
-# Z on labels 3 and 6 and a Y on two link labels, which differ: the
-# 0-based label positions of each family's Z factors are listed here.
-# With Y = i X Z, each stabilizer has phase exponent 2 (two Y letters).
-_PLAQ_X = (0, 1, 3, 4)
-_PLAQ_Z = {UP: (0, 2, 3, 5), DOWN: (1, 2, 4, 5)}
-
 
 @dataclass(frozen=True, slots=True)
 class HoneycombSite:
@@ -103,7 +97,7 @@ class BondPlaquette:
 
     @property
     def is_complete(self) -> bool:
-        return all(r is not None for r in self.labels)
+        return None not in self.labels
 
 
 class SquareLattice:
@@ -120,10 +114,9 @@ class SquareLattice:
         self.rows = rows
         self.cols = cols
         self.n_sites = rows * cols
-        self.bonds = [
-            (self.index(r, c), self.index(r, c + 1))
-            for r in range(rows) for c in range(cols - 1)
-        ]
+        # site i bonds to i + 1 unless it ends its row
+        self.bonds = [(i, i + 1) for i in range(self.n_sites)
+                      if (i + 1) % cols]
 
     def index(self, row: int, col: int) -> int:
         if not (0 <= row < self.rows and 0 <= col < self.cols):
@@ -137,7 +130,8 @@ class SquareLattice:
 
     def chains(self) -> list[list[int]]:
         """Partition into maximal diagonal chains (one per row)."""
-        return [[self.index(r, c) for c in range(self.cols)]
+        cols = self.cols
+        return [list(range(r * cols, (r + 1) * cols))
                 for r in range(self.rows)]
 
 
@@ -145,73 +139,96 @@ def _x_offset(row: int) -> float:
     return 0.5 if row % 2 else 0.0
 
 
+def _line_start(line: int, cols: int) -> int:
+    """Rank of the leftmost site of a zigzag line.
+
+    Line 0 holds the ``cols`` black sites of row 0; every later line but
+    the top one holds ``2 * cols`` sites, a black and a white per column.
+    """
+    return cols * (2 * line - 1) if line else 0
+
+
 class HoneycombLayout:
     """Honeycomb image of a square lattice, with the zigzag JW order.
 
+    The ranks are closed-form (``docs/conventions.md``): with ``s(L)`` the
+    :func:`_line_start` of line ``L``, the black site of square site
+    ``(r, c)`` has rank ``c`` on row 0 and ``s(r) + 2c + (r & 1)`` above
+    it, and the white site has rank ``s(r + 1) + 2c + (r & 1)``, or
+    ``s(r + 1) + c`` on the top line.  The layout keeps them as two
+    tables indexed by square site; :meth:`site` inverts them one rank at
+    a time, so no site object exists until a caller asks for it.
+
     ``flip_columns[family]`` is the column table of that family's
     stabilizers over ``2 * n_sites`` bits: entry ``b`` is the bitmask of
-    the plaquette indices whose ``z_mask << n | x_mask`` has bit ``b``
-    (see :func:`~semionlab.pauli._anticommuting`).
+    the plaquette indices whose ``z_mask << n | x_mask`` has bit ``b``.
+    The XOR of the entries at the set bits of a string's
+    ``x_mask << n | z_mask`` is then the mask of the plaquettes it flips
+    (see :func:`~semionlab.anyons.predicted_flips`).
     """
 
     def __init__(self, square: SquareLattice):
         self.square = square
         rows, cols = square.rows, square.cols
 
-        raw = []
-        for site in range(square.n_sites):
-            row, col = square.coords(site)
-            x = col + _x_offset(row)
-            raw.append((row, x, site, row, col, BLACK))
-            raw.append((row + 1, x, site, row, col, WHITE))
-        raw.sort(key=lambda t: (t[0], t[1]))
-
-        self.sites: list[HoneycombSite] = []
-        self._rank: dict[tuple[int, str], int] = {}
-        for rank, (line, x, site, row, col, color) in enumerate(raw):
-            self.sites.append(HoneycombSite(rank, site, row, col, color,
-                                            line, x))
-            self._rank[(site, color)] = rank
+        black = list(range(cols))
+        white: list[int] = []
+        for r in range(rows):
+            parity = r & 1
+            if r:
+                first = _line_start(r, cols) + parity
+                black += range(first, first + 2 * cols, 2)
+            if r + 1 == rows:
+                first = _line_start(rows, cols)
+                white += range(first, first + cols)
+            else:
+                first = _line_start(r + 1, cols) + parity
+                white += range(first, first + 2 * cols, 2)
+        self._black = black
+        self._white = white
 
         n = self.n_sites
         self.bond_plaquettes: list[BondPlaquette] = []
         # entry b: bitmask of the plaquettes whose stabilizer has bit b
         # in z_mask << n | x_mask; the x half is the same in both families
-        x_columns = [0] * n
-        z_columns = {UP: [0] * n, DOWN: [0] * n}
+        x_cols = [0] * n
+        up_cols = [0] * n
+        down_cols = [0] * n
         for idx, (i, j) in enumerate(square.bonds):
-            row, col = square.coords(i)
-            mid = col + row % 2
-            top = (self._rank[(square.index(row + 1, mid), BLACK)]
-                   if row + 1 < rows else None)
-            bottom = (self._rank[(square.index(row - 1, mid), WHITE)]
-                      if row >= 1 else None)
-            labels = (
-                self._rank[(i, BLACK)],
-                self._rank[(i, WHITE)],
-                top,
-                self._rank[(j, WHITE)],
-                self._rank[(j, BLACK)],
-                bottom,
-            )
+            row, col = divmod(i, cols)
+            # labels 1..6: left black, left white, top, right white,
+            # right black, bottom; top and bottom sit in the column
+            # col + (row & 1) of the rows above and below
+            b_i, w_i, w_j, b_j = black[i], white[i], white[j], black[j]
+            top = (black[i + cols + (row & 1)] if row + 1 < rows
+                   else None)
+            bottom = white[i - cols + (row & 1)] if row else None
             plaquette = 1 << idx
-            x_mask = 0
-            for k in _PLAQ_X:
-                x_mask |= 1 << labels[k]
-                x_columns[labels[k]] |= plaquette
-            ops = {}
-            for family, positions in _PLAQ_Z.items():
-                z_mask = 0
-                for k in positions:
-                    if labels[k] is not None:
-                        z_mask |= 1 << labels[k]
-                        z_columns[family][labels[k]] |= plaquette
-                ops[family] = PauliString(n, x_mask, z_mask, 2, REP_HONEYCOMB)
+            # the up family reads YXZYXZ over labels 1..6, the down one
+            # XYZXYZ: X on the four link labels in both, Z on the top and
+            # bottom and on the two Y labels, 1 and 4 (up) or 2 and 5 (down)
+            x_mask = 1 << b_i | 1 << w_i | 1 << w_j | 1 << b_j
+            up_z = 1 << b_i | 1 << w_j
+            down_z = 1 << w_i | 1 << b_j
+            for b in (b_i, w_i, w_j, b_j):
+                x_cols[b] |= plaquette
+            up_cols[b_i] |= plaquette
+            up_cols[w_j] |= plaquette
+            down_cols[w_i] |= plaquette
+            down_cols[b_j] |= plaquette
+            for b in (top, bottom):
+                if b is not None:
+                    up_z |= 1 << b
+                    down_z |= 1 << b
+                    up_cols[b] |= plaquette
+                    down_cols[b] |= plaquette
+            # Y = i X Z, so two Y letters give phase exponent 2
             self.bond_plaquettes.append(BondPlaquette(
-                idx, i, j, row, col, labels, ops[UP], ops[DOWN]))
+                idx, i, j, row, col, (b_i, w_i, top, w_j, b_j, bottom),
+                PauliString(n, x_mask, up_z, 2, REP_HONEYCOMB),
+                PauliString(n, x_mask, down_z, 2, REP_HONEYCOMB)))
         self.flip_columns: dict[str, tuple[int, ...]] = {
-            family: tuple(x_columns + z_columns[family])
-            for family in (UP, DOWN)}
+            UP: tuple(x_cols + up_cols), DOWN: tuple(x_cols + down_cols)}
 
     # -- queries -----------------------------------------------------
 
@@ -219,17 +236,51 @@ class HoneycombLayout:
     def n_sites(self) -> int:
         return 2 * self.square.n_sites
 
+    @property
+    def sites(self) -> list[HoneycombSite]:
+        """Every honeycomb site in rank order, built on each read."""
+        return [self.site(k) for k in range(self.n_sites)]
+
     def rank(self, square_site: int, color: str) -> int:
-        """Jordan-Wigner rank of one honeycomb site."""
-        key = (square_site, color)
-        if key not in self._rank:
-            raise ValueError(f"unknown honeycomb site {key}")
-        return self._rank[key]
+        """Jordan-Wigner rank of one honeycomb site.
+
+        ``square_site`` is any value equal to an integer in range
+        (numpy integers and bools included); another value or an unknown
+        color raises ``ValueError``.
+        """
+        table = (self._black if color == BLACK
+                 else self._white if color == WHITE else None)
+        try:
+            site = int(square_site)
+        except (TypeError, ValueError, OverflowError):
+            site = -1
+        if table is None or site != square_site or \
+                not 0 <= site < len(table):
+            raise ValueError(
+                f"unknown honeycomb site {(square_site, color)}")
+        return table[site]
 
     def site(self, rank: int) -> HoneycombSite:
+        """The site of one rank, from the closed form inverted."""
         if not 0 <= rank < self.n_sites:
             raise ValueError(f"rank {rank} outside layout")
-        return self.sites[rank]
+        rank = operator.index(rank)
+        rows, cols = self.square.rows, self.square.cols
+        line = (rank - cols) // (2 * cols) + 1 if rank >= cols else 0
+        offset = rank - _line_start(line, cols)
+        if line == 0:
+            row, col, color = 0, offset, BLACK
+        elif line == rows:
+            row, col, color = rows - 1, offset, WHITE
+        else:
+            col = offset >> 1
+            # on line L the black site of row L sits at offset parity L & 1
+            if offset & 1 == line & 1:
+                row, color = line, BLACK
+            else:
+                row, color = line - 1, WHITE
+        return HoneycombSite(rank, row * cols + col, row, col, color, line,
+                             col + _x_offset(row))
 
     def complete_plaquettes(self) -> list[tuple[int, ...]]:
         """Ordered 6-tuples (labels 1..6) of the complete hexagons."""
@@ -241,15 +292,20 @@ class HoneycombLayout:
     # -- serialization -----------------------------------------------
 
     def to_dict(self) -> dict:
+        cols = self.square.cols
+        sites: list[dict | None] = [None] * self.n_sites
+        for site, (b, w) in enumerate(zip(self._black, self._white)):
+            row, col = divmod(site, cols)
+            x = col + _x_offset(row)
+            sites[b] = {"rank": b, "square_site": site, "row": row,
+                        "col": col, "color": BLACK, "line": row, "xpos": x}
+            sites[w] = {"rank": w, "square_site": site, "row": row,
+                        "col": col, "color": WHITE, "line": row + 1,
+                        "xpos": x}
         return {
             "rows": self.square.rows,
-            "cols": self.square.cols,
-            "sites": [
-                {"rank": s.rank, "square_site": s.square_site,
-                 "row": s.row, "col": s.col, "color": s.color,
-                 "line": s.line, "xpos": s.xpos}
-                for s in self.sites
-            ],
+            "cols": cols,
+            "sites": sites,
             "bonds": [list(b) for b in self.square.bonds],
             "chains": self.chains(),
             "plaquettes": [

@@ -193,10 +193,12 @@ class PauliString:
 
 def _site_mask(sites, n_sites: int) -> int:
     """Bitmask of ``sites``, each checked to lie in the register."""
+    mask = 0
     for s in sites:
         if not 0 <= s < n_sites:
             raise DimensionMismatchError(f"site {s} outside register")
-    return sum(1 << s for s in set(sites))
+        mask |= 1 << s
+    return mask
 
 
 def _y_count(p: PauliString) -> int:
@@ -242,33 +244,6 @@ def commutes(p: PauliString, q: PauliString) -> bool:
     overlap = int.bit_count(p.x_mask & q.z_mask) + \
         int.bit_count(p.z_mask & q.x_mask)
     return overlap % 2 == 0
-
-
-def _set_bits(mask: int) -> list[int]:
-    """Positions of the set bits of ``mask``, highest first."""
-    bits = []
-    while mask:
-        b = mask.bit_length() - 1
-        bits.append(b)
-        mask ^= 1 << b
-    return bits
-
-
-def _anticommuting(columns, bits) -> int:
-    """Row of a column table at the set ``bits`` of a symplectic vector.
-
-    In a column table over operators on ``n`` sites, entry ``b`` is the
-    bitmask of the operators whose swapped vector
-    ``z_mask << n | x_mask`` has bit ``b``.  An operator whose
-    ``x_mask << n | z_mask`` has its set bits at ``bits`` anticommutes
-    with operator ``k`` iff bit ``k`` of the XOR of the entries at
-    ``bits`` is set, since that bit is the parity of the two operators'
-    symplectic product.  The cost is one XOR per set bit.
-    """
-    row = 0
-    for b in bits:
-        row ^= columns[b]
-    return row
 
 
 def _gf2_reduce(vec: int, rows: list[tuple[int, int]]) -> tuple[int, int]:

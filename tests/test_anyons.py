@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+
+import semionlab.anyons
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -217,6 +219,37 @@ class TestFusion:
         assert not res.same_family
         assert not res.is_vacuum
         assert res.flips_composite["up"] or res.flips_composite["down"]
+
+
+    def test_flips_are_decoded_from_the_masks(self):
+        layout = build_layout(3, 3)
+        a = StringSpec.z_string(layout, (0, 5, 9, 14))
+        b = StringSpec.x_string(layout, (5, 7, 16))
+        res = fuse_check(layout, a, b)
+        flips = [predicted_flips(layout, op)
+                 for op in (a.operator, b.operator, res.residual)]
+        assert [res.flips_first, res.flips_second,
+                res.flips_composite] == flips
+        assert res.flip_masks == tuple(
+            tuple(sum(1 << k for k in f[fam]) for fam in ("up", "down"))
+            for f in flips)
+        assert res.is_vacuum == (flips[2] == {"up": (), "down": ()})
+
+    def test_broken_flip_pattern_raises(self, monkeypatch):
+        # a composite pattern that is not the XOR of the parts is refused
+        layout = build_layout(2, 3)
+        masks = semionlab.anyons._flip_masks
+        calls = []
+
+        def shifted(layout, op):
+            calls.append(op)
+            up, down = masks(layout, op)
+            return (up ^ 1, down) if len(calls) == 3 else (up, down)
+
+        monkeypatch.setattr(semionlab.anyons, "_flip_masks", shifted)
+        a = StringSpec.z_string(layout, (0, 1, 2))
+        with pytest.raises(AssertionError, match="symmetric difference"):
+            fuse_check(layout, a, a)
 
 
 class TestQndGate:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semionlab import __version__
-from semionlab.cli import _to_csv, _to_json, main, run_spectrum
+from semionlab.cli import _to_csv, _to_json, main, run_lattice, run_spectrum
 from semionlab.errors import MAX_CAVITY_LEVELS, MAX_RANDOM_TRIALS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -472,6 +472,27 @@ _LEAVES = st.one_of(_ARRAYS, _ARRAYS.map(lambda a: a[::-2]), _FLOATS,
                     st.none())
 
 
+# keys with format characters, escapes and a lone surrogate
+_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(
+    ["%", "%s", "%%", "a%(b)s", "\"", "\\", "\n", "\t", "\u00e9",
+     "\u2028", "\udc80", "{", "]"]))
+
+
+def _tables(children):
+    """Containers of ``children``, among them the shapes ``_to_json``
+    writes by column: lists of dicts with one key set and lists of lists
+    (or tuples) of one length; the others mix scalars and containers."""
+    same_keys = st.lists(_KEYS, min_size=1, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(
+            {key: children for key in keys}), min_size=1, max_size=4))
+    same_length = st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.one_of(st.lists(children, min_size=n, max_size=n),
+                  st.tuples(*[children] * n)), min_size=1, max_size=4))
+    return st.one_of(st.lists(children, max_size=4),
+                     st.dictionaries(_KEYS, children, max_size=4),
+                     same_keys, same_length)
+
+
 def _as_lists(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
@@ -567,6 +588,42 @@ class TestOutputBytes:
     def test_arrays_written_as_lists(self, obj):
         assert _to_json(obj) == json.dumps(_as_lists(obj), sort_keys=True,
                                            indent=2)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.recursive(_LEAVES, _tables, max_leaves=16))
+    @example([{"%s": 1, "b%": [2, 3]}, {"%s": 4, "b%": [5, 6]}])
+    @example([{"a": 1, "b": 2}, {"a": 1, "c": 2}])
+    @example([{"a": 1}, {"a": 2, "b": 3}])
+    @example([{"a": 1}, {"a": [1, {"b": None}]}, {"a": "x"}])
+    @example([[1, [2]], (3, [4]), [5, ()], [6, []]])
+    @example([{"k": np.array([0.5, 0.5])}, {"k": np.array([-0.0])}])
+    def test_columns_written_as_json_dumps(self, obj):
+        assert _to_json(obj) == json.dumps(_as_lists(obj), sort_keys=True,
+                                           indent=2)
+
+    @pytest.mark.parametrize("obj", [
+        [{"a": 1.0, "b": 2}, {"a": float("nan"), "b": 3}],
+        [[1.0, 2.0], [3.0, float("inf")]],
+        [(0.5, "s"), (-float("inf"), "t")],
+        {"x": [{"k": [0.5, -float("inf")]}, {"k": [1.0, 2.0]}]},
+        [{"a": [1, 2]}, {"a": [3, float("nan")]}],
+        [1, [2.0], float("inf")],
+    ])
+    def test_non_finite_in_a_column_refused(self, obj):
+        with pytest.raises(ValueError):
+            json.dumps(obj, allow_nan=False)
+        with pytest.raises(ValueError):
+            _to_json(obj)
+
+    @pytest.mark.parametrize("dims", [(r, c) for r in range(1, 9)
+                                      for c in range(2, 9)])
+    def test_lattice_bytes_are_json_dumps(self, tmp_path, capsys, dims):
+        payload = {"rows": dims[0], "cols": dims[1]}
+        cfg = write_config(tmp_path, "lattice.json", payload)
+        code, out, err = run(["lattice", "--config", cfg], capsys)
+        report, ok = run_lattice(payload, argparse.Namespace(seed=0))
+        assert (code, err, ok) == (0, "", True)
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
     @pytest.mark.parametrize("payload", [
         {"rows": 1, "cols": 4, "random_trials": 3},

@@ -104,6 +104,19 @@ class TestSpinHamiltonian:
         assert HamiltonianTerms("spin", 2, ((1.0, zz), (1.0, xx))) \
             .all_terms_commute()
 
+    def test_y_sites_meet_only_earlier_terms(self):
+        # a term's own X and Z halves meet on its Y sites and do not
+        # count: Y commutes with itself and with another Y there, not
+        # with an X or a Z, in either order
+        y = PauliString.single(2, 0, "Y")
+        assert HamiltonianTerms("spin", 2, ((1.0, y),)).all_terms_commute()
+        for letter, want in (("Y", True), ("X", False), ("Z", False)):
+            op = PauliString.single(2, 0, letter)
+            for pair in ((y, op), (op, y)):
+                ham = HamiltonianTerms("spin", 2,
+                                       tuple((1.0, t) for t in pair))
+                assert ham.all_terms_commute() is want
+
     def test_mixed_representation_tags_raise(self):
         terms = ((1.0, PauliString.single(2, 0, "Z")),
                  (1.0, PauliString.single(2, 1, "Z", "honeycomb_spin")),

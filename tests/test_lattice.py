@@ -1,15 +1,19 @@
 """Layout geometry: frozen small-lattice enumerations and rank order."""
 
+import numpy as np
 import pytest
 
+from semionlab import lattice
 from semionlab.lattice import (
     BLACK,
     DOWN,
     REP_HONEYCOMB,
     UP,
     WHITE,
+    HoneycombSite,
     build_layout,
 )
+from semionlab.operators import x_string_device, x_string_op
 from semionlab.pauli import PauliString
 
 # every shape up to 8x8 (a bond needs two columns)
@@ -174,3 +178,175 @@ def test_text_report_mentions_every_site():
     text = layout.to_text()
     for s in layout.sites:
         assert f"rank {s.rank:3d}" in text
+
+
+# -- the closed-form ranks against the frozen sort ----------------------
+
+def _reference_sites(rows, cols):
+    """``(rank, square_site, row, col, color, line, xpos)`` of every site,
+    ranked by the frozen ``(line, xpos)`` sort of docs/conventions.md."""
+    raw = []
+    for site in range(rows * cols):
+        row, col = divmod(site, cols)
+        x = col + (0.5 if row % 2 else 0.0)
+        raw.append((row, x, site, row, col, BLACK))
+        raw.append((row + 1, x, site, row, col, WHITE))
+    raw.sort(key=lambda t: (t[0], t[1]))
+    return [(rank, site, row, col, color, line, x)
+            for rank, (line, x, site, row, col, color) in enumerate(raw)]
+
+
+def _reference_labels(rows, cols, rank):
+    """Labels 1..6 of every bond's plaquette, from the reference ranks."""
+    labels = []
+    for row in range(rows):
+        for col in range(cols - 1):
+            i, j = row * cols + col, row * cols + col + 1
+            mid = col + row % 2
+            top = (rank[((row + 1) * cols + mid, BLACK)]
+                   if row + 1 < rows else None)
+            bottom = rank[((row - 1) * cols + mid, WHITE)] if row else None
+            labels.append((i, j, row, col, (
+                rank[(i, BLACK)], rank[(i, WHITE)], top, rank[(j, WHITE)],
+                rank[(j, BLACK)], bottom)))
+    return labels
+
+
+class TestClosedFormRanks:
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_ranks_and_sites_match_the_sort(self, dims):
+        layout = build_layout(*dims)
+        ref = _reference_sites(*dims)
+        assert [tuple(getattr(s, f) for f in (
+            "rank", "square_site", "row", "col", "color", "line", "xpos"))
+            for s in layout.sites] == ref
+        for rank, site, row, col, color, line, x in ref:
+            assert layout.rank(site, color) == rank
+            assert layout.site(rank) == HoneycombSite(
+                rank, site, row, col, color, line, x)
+            assert type(layout.site(rank).xpos) is float
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_plaquettes_and_reports_match_the_sort(self, dims):
+        rows, cols = dims
+        layout = build_layout(*dims)
+        ref = _reference_sites(*dims)
+        rank = {(site, color): r for r, site, _, _, color, _, _ in ref}
+        labels = _reference_labels(rows, cols, rank)
+        assert [(p.site_i, p.site_j, p.row, p.col, p.labels)
+                for p in layout.bond_plaquettes] == labels
+        assert [p.index for p in layout.bond_plaquettes] == \
+            list(range(len(labels)))
+        assert layout.square.bonds == [(i, j) for i, j, *_ in labels]
+        assert layout.chains() == [
+            [layout.square.index(r, c) for c in range(cols)]
+            for r in range(rows)]
+        # flip columns from the letter reference over the reference labels
+        n = layout.n_sites
+        for family in (UP, DOWN):
+            columns = [0] * (2 * n)
+            for k, (*_, labs) in enumerate(labels):
+                for r, letter in zip(labs, PLAQ_LETTERS[family]):
+                    if r is not None:
+                        if letter in "XY":
+                            columns[r] |= 1 << k
+                        if letter in "ZY":
+                            columns[n + r] |= 1 << k
+            assert layout.flip_columns[family] == tuple(columns)
+        complete = [None not in labs for *_, labs in labels]
+        assert [p.is_complete for p in layout.bond_plaquettes] == complete
+        assert layout.to_dict() == {
+            "rows": rows, "cols": cols,
+            "sites": [{"rank": r, "square_site": s, "row": row, "col": col,
+                       "color": color, "line": line, "xpos": x}
+                      for r, s, row, col, color, line, x in ref],
+            "bonds": [[i, j] for i, j, *_ in labels],
+            "chains": [list(range(r * cols, (r + 1) * cols))
+                       for r in range(rows)],
+            "plaquettes": [
+                {"index": k, "bond": [i, j], "row": row, "col": col,
+                 "labels": [-1 if r is None else r for r in labs],
+                 "complete": done}
+                for k, ((i, j, row, col, labs), done)
+                in enumerate(zip(labels, complete))],
+        }
+        text = [f"honeycomb layout {rows}x{cols}"]
+        text += [f"  rank {r:3d}  square {s:3d} ({row},{col}) {color:5s} "
+                 f"line {line} x={x}" for r, s, row, col, color, line, x in ref]
+        for k, ((i, j, _, _, labs), done) in enumerate(zip(labels, complete)):
+            lab = ",".join("-" if r is None else str(r) for r in labs)
+            text.append(f"  plaquette {k}: bond ({i},{j}) "
+                        f"{'hexagon' if done else 'boundary'} labels [{lab}]")
+        text += [f"  chain {r}: {list(range(r * cols, (r + 1) * cols))}"
+                 for r in range(rows)]
+        assert layout.to_text() == "\n".join(text) + "\n"
+
+    @pytest.mark.parametrize("site", [-1, -7, 12, 13, 10 ** 30])
+    def test_square_site_outside_raises(self, site):
+        layout = build_layout(3, 4)
+        for color in (BLACK, WHITE):
+            with pytest.raises(ValueError, match="unknown honeycomb site"):
+                layout.rank(site, color)
+
+    @pytest.mark.parametrize("site", [1.5, "1", None, [1], float("nan"),
+                                      float("inf")])
+    def test_non_integer_square_site_raises(self, site):
+        with pytest.raises(ValueError, match="unknown honeycomb site"):
+            build_layout(3, 4).rank(site, BLACK)
+
+    @pytest.mark.parametrize("color", ["red", "Black", "", None, 0])
+    def test_unknown_color_raises(self, color):
+        with pytest.raises(ValueError, match="unknown honeycomb site"):
+            build_layout(3, 4).rank(0, color)
+
+    def test_numpy_ints_and_bools_are_sites(self):
+        layout = build_layout(3, 4)
+        for site in range(12):
+            for color in (BLACK, WHITE):
+                want = layout.rank(site, color)
+                for cast in (np.int64, np.int32, np.uint8, np.intp):
+                    got = layout.rank(cast(site), np.str_(color))
+                    assert got == want and type(got) is int
+        assert layout.rank(True, WHITE) == layout.rank(1, WHITE)
+        assert layout.rank(False, BLACK) == layout.rank(np.bool_(False),
+                                                        BLACK) == 0
+        # any value equal to a site, as with a lookup keyed by site
+        assert layout.rank(3.0, WHITE) == layout.rank(3, WHITE)
+
+    @pytest.mark.parametrize("rank", [-1, 24, 25, 10 ** 30])
+    def test_rank_outside_raises(self, rank):
+        with pytest.raises(ValueError, match="outside layout"):
+            build_layout(3, 4).site(rank)
+
+    def test_site_takes_numpy_ints(self):
+        layout = build_layout(3, 4)
+        for rank in range(24):
+            got = layout.site(np.int64(rank))
+            assert got == layout.site(rank)
+            assert all(type(getattr(got, f)) is int for f in (
+                "rank", "square_site", "row", "col", "line"))
+
+    def test_site_builds_one_object(self, monkeypatch):
+        # a site query inverts the rank tables instead of building every
+        # site, so the string builders, which ask for every lower rank,
+        # stay linear in the rank
+        built = []
+
+        class Counting(lattice.HoneycombSite):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        layout = build_layout(8, 8)
+        monkeypatch.setattr(lattice, "HoneycombSite", Counting)
+        assert layout.site(77).rank == 77
+        assert built == [77]
+        built.clear()
+        rank = layout.rank(40, WHITE)
+        x_string_op(layout, 40, WHITE)
+        assert sorted(built) == list(range(rank))
+        built.clear()
+        x_string_device(layout, 40, WHITE)
+        assert sorted(built) == list(range(rank))

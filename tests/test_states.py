@@ -266,6 +266,48 @@ class TestGroupedExpectations:
         assert all(isinstance(v, complex) for v in got)
         assert np.max(np.abs(np.array(got) - want)) < 1e-12
 
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 64])
+    @pytest.mark.parametrize("cavity_dim", [1, 2])
+    def test_chunk_boundaries(self, monkeypatch, budget, cavity_dim):
+        # a dense budget of a few supports splits the operators into
+        # chunks of that many, or of one when it is below one support;
+        # every value is still bit for bit the one-at-a-time value
+        rng = np.random.default_rng(30 + budget + cavity_dim)
+        layout = build_layout(2, 3)
+        ops = [op for p in layout.bond_plaquettes for op in (p.up, p.down)]
+        ops += [PauliString(layout.n_sites, int(rng.integers(1 << 12)),
+                            int(rng.integers(1 << 12)), 2 * k % 4)
+                for k in range(13)]
+        for st in (random_state(layout.n_sites, cavity_dim, rng),
+                   project_ground(layout, cavity_dim)):
+            want = [expectation(st, op) for op in ops]
+            size = st.index.size
+            joins = []
+            lookup = semionlab.states._lookup
+            monkeypatch.setattr(semionlab.states, "DENSE_ELEMENTS",
+                                budget * size + size - 1 if budget > 1
+                                else size - 1)
+            monkeypatch.setattr(
+                semionlab.states, "_lookup",
+                lambda index, query: joins.append(query.size)
+                or lookup(index, query))
+            got = expectations(st, ops)
+            monkeypatch.undo()
+            assert np.array(got).view(np.int64).tolist() == \
+                np.array(want).view(np.int64).tolist()
+            per_chunk = min(budget, len(ops))
+            assert len(joins) == -(-len(ops) // per_chunk)
+            assert joins[:-1] == [per_chunk * size] * (len(joins) - 1)
+
+    def test_empty_support_gives_zeros(self):
+        # the one-photon block of a state with no photon holds nothing
+        empty = semionlab.states._cavity_block(
+            project_ground(build_layout(1, 2), cavity_dim=2), 1)
+        assert empty.index.size == 0
+        ops = [PauliString.single(4, 0, "X"), PauliString.single(4, 1, "Z")]
+        assert expectations(empty, ops) == [0j, 0j]
+        assert expectation(empty, ops[1]) == 0j
+
     def test_non_hermitian_value_passes_through(self):
         iz = PauliString.single(1, 0, "Z").times_i()
         assert expectations(basis_state(1), [iz]) == [1j] == \
