@@ -39,6 +39,7 @@ from .states import (
     _cavity_block,
     _check_register,
     _factor,
+    _levels,
     _on_support,
     apply_pauli,
     expectations,
@@ -134,7 +135,7 @@ def vortex_map(state: StateVector, layout: HoneycombLayout) -> VortexMap:
 
     Each value is the overlap of the state with its image under the
     operator (:func:`~semionlab.states.expectations`), so the work is
-    proportional to the state's support: 64 entries for the 3x3 ground
+    proportional to the state's coset: 64 entries for the 3x3 ground
     state.
     """
     plqs = layout.bond_plaquettes
@@ -401,21 +402,18 @@ class ControlledString:
         ``n_c``-th power of the one-photon unitary, which reproduces the
         exact dispersive evolution at the canonical time for every
         truncation level in one application per sector.  That unitary is
-        diagonal, so each entry of the sector keeps its basis index and
-        is multiplied by a unit.
+        diagonal, so each entry of the sector keeps its coordinate and is
+        multiplied by a unit.
         """
         if state.cavity_dim < 2:
             raise CapacityError("controlled string needs a cavity register")
         params = QndParams.canonical(1.0, self.sites)
         n = state.n_qubits
-        ends = np.searchsorted(state.index,
-                               np.arange(1, state.cavity_dim + 1) << n)
-        values = state.values.copy()
+        values = _levels(state).copy()
         for n_c in range(1, state.cavity_dim):
-            sector = slice(ends[n_c - 1], ends[n_c])
-            values[sector] *= _factor(qnd_unitary(params, n_c, n),
-                                      state.index[sector])
-        return _on_support(n, state.cavity_dim, state.index, values)
+            values[n_c] *= _factor(qnd_unitary(params, n_c, n), state.index)
+        return _on_support(n, state.cavity_dim, state.index, values.ravel(),
+                           state.rows)
 
 
 def cavity_superposition(qubit_state: StateVector, mu: complex,
@@ -423,10 +421,9 @@ def cavity_superposition(qubit_state: StateVector, mu: complex,
     """Tensor a (mu |0> + nu |1>) cavity factor onto a qubit register."""
     if qubit_state.cavity_dim != 1:
         raise DimensionMismatchError("qubit state already carries a cavity")
-    index, q = qubit_state.index, qubit_state.values
-    return _on_support(qubit_state.n_qubits, 2,
-                       np.concatenate((index, index + qubit_state.qubit_dim)),
-                       np.concatenate((mu * q, nu * q)))
+    q = qubit_state.values
+    return _on_support(qubit_state.n_qubits, 2, qubit_state.index,
+                       np.concatenate((mu * q, nu * q)), qubit_state.rows)
 
 
 # -- interferometry ----------------------------------------------------

@@ -213,8 +213,9 @@ def run_ground(cfg: dict, args) -> tuple[dict, bool]:
     u = float(cfg.get("u", 1.0))
     state = project_ground(layout)
     ham = build_spin_hamiltonian(layout, j_up, j_down, u)
-    energy, variance = energy_moments(state, ham)
+    # the spectrum's size check refuses 4x4 and up before the moments run
     eig = spectrum(ham)
+    energy, variance = energy_moments(state, ham)
     vmap = vortex_map(state, layout)
     oracle_deg = DiagonalOracle(layout, j_up, j_down, u).ground_degeneracy()
     try:

@@ -1,6 +1,6 @@
 """Exception types shared across the package, and the dense-capacity budget."""
 
-# Most elements one array may hold (2**24 amplitudes or support entries,
+# Most elements one array may hold (2**24 amplitudes or coset entries,
 # or a 12-qubit matrix); every size check in the package compares against
 # this number.
 DENSE_ELEMENTS = 1 << 24

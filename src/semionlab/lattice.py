@@ -123,11 +123,6 @@ class SquareLattice:
             raise ValueError(f"square site ({row}, {col}) outside lattice")
         return row * self.cols + col
 
-    def coords(self, site: int) -> tuple[int, int]:
-        if not 0 <= site < self.n_sites:
-            raise ValueError(f"square site {site} outside lattice")
-        return divmod(site, self.cols)
-
     def chains(self) -> list[list[int]]:
         """Partition into maximal diagonal chains (one per row)."""
         cols = self.cols

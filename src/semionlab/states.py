@@ -1,17 +1,27 @@
 """State vectors over a qubit register tensored with a cavity mode.
 
-A state is held on its support: sorted, unique int64 basis indices and
-one complex amplitude per index, every other amplitude zero.  The index
-order is cavity-index major, qubit bits minor: ``n_c * 2**n_qubits +
-bits``.  ``cavity_dim = 1`` means no cavity.  A state built from a dense
-amplitude vector holds the whole index range.  The plaquette ground state
-holds only its ``2**rank`` nonzero amplitudes, and so does every Pauli
-string applied to it: a string maps each index to one index, so no
-operation here builds an array of ``2**n_qubits`` entries for it.
-``amplitudes`` and ``blocks()`` scatter a state into the dense form,
-checked against the dense budget.  State values are treated as
-immutable; every operation returns a new state, so concurrent read-only
-use is safe.
+Every state is held on one coset ``base ^ span(g_1 ... g_r)`` of qubit
+basis indices (Dehaene and De Moor, Phys. Rev. A 68, 042318 (2003)), in
+coset coordinates: coordinate ``c < 2**r`` is the basis index
+``index[c] = index[0] ^ XOR_{k in c} g_k``.  ``index`` holds these qubit
+bits, in coordinate order, and ``values`` one block of ``2**r``
+amplitudes per cavity level, cavity level major; ``cavity_dim = 1``
+means no cavity.  ``rows`` holds the span in echelon form, the
+``(vec, dep)`` rows of :func:`~semionlab.pauli._gf2_reduce` whose
+``dep`` bit ``k`` stands for ``g_k``.  A state built from a dense
+amplitude vector is the case whose generators are the unit vectors, so
+its coordinate is its index.  The plaquette ground state holds only its
+``2**rank`` amplitudes, and so does every Pauli string applied to it.
+
+A string ``i**p X(x) Z(z)`` reduces ``x`` against the rows to a
+remainder and a ``dep``: it sends coordinate ``c`` to coordinate
+``c ^ dep`` of the coset whose base moved by the remainder.  So a string
+is one gather, an expectation is exactly 0 unless the remainder is 0,
+and no operation here sorts, joins on one span, or builds an array of
+``2**n_qubits`` entries.  ``amplitudes`` and ``blocks()`` scatter a
+state into the dense form, checked against the dense budget.  State
+values are treated as immutable; every operation returns a new state,
+so concurrent read-only use is safe.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DENSE_ELEMENTS,
     MAX_CAVITY_LEVELS,
     CapacityError,
     DimensionMismatchError,
@@ -67,17 +76,20 @@ def _amplitude_count(n_qubits: int, cavity_dim: int) -> int:
 
 @dataclass(frozen=True, init=False)
 class StateVector:
-    """Complex amplitudes over cavity (x) qubits, held on their support.
+    """Complex amplitudes over cavity (x) qubits, held on a coset.
 
-    ``index`` holds sorted, unique int64 basis indices and ``values`` the
-    amplitude at each.  The constructor takes the dense amplitude vector
-    of length ``cavity_dim * 2**n_qubits`` and holds the whole range.
+    ``index`` holds the coset's qubit basis indices in coordinate order,
+    ``values`` the amplitudes, one block per cavity level in that order,
+    and ``rows`` the span's echelon rows (see the module docstring).  The
+    constructor takes the dense amplitude vector of length
+    ``cavity_dim * 2**n_qubits``; its coset is the whole register.
     """
 
     n_qubits: int
     cavity_dim: int
     index: np.ndarray
     values: np.ndarray
+    rows: tuple[tuple[int, int], ...]
 
     def __init__(self, n_qubits: int, cavity_dim: int, amplitudes):
         expected = _amplitude_count(n_qubits, cavity_dim)
@@ -85,8 +97,10 @@ class StateVector:
         if amps.shape != (expected,):
             raise DimensionMismatchError(
                 f"expected {expected} amplitudes, got {amps.shape}")
-        _hold(self, n_qubits, cavity_dim,
-              np.arange(expected, dtype=np.int64), amps)
+        vars(self).update(
+            n_qubits=n_qubits, cavity_dim=cavity_dim, values=amps,
+            index=np.arange(1 << n_qubits, dtype=np.int64),
+            rows=tuple((1 << k, 1 << k) for k in range(n_qubits)))
 
     @property
     def qubit_dim(self) -> int:
@@ -94,15 +108,15 @@ class StateVector:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """The dense amplitude vector, scattered from the support."""
-        out = np.zeros(_amplitude_count(self.n_qubits, self.cavity_dim),
-                       dtype=complex)
-        out[self.index] = self.values
-        return out
+        """The dense amplitude vector, scattered from the coset."""
+        return self.blocks().ravel()
 
     def blocks(self) -> np.ndarray:
         """Dense amplitudes shaped (cavity_dim, 2**n_qubits)."""
-        return self.amplitudes.reshape(self.cavity_dim, self.qubit_dim)
+        out = np.zeros(_amplitude_count(self.n_qubits, self.cavity_dim),
+                       dtype=complex).reshape(self.cavity_dim, -1)
+        out[:, self.index] = _levels(self)
+        return out
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.values))
@@ -112,42 +126,51 @@ class StateVector:
         if n == 0.0:
             raise ZeroProjectionError("cannot normalize the zero vector")
         return _on_support(self.n_qubits, self.cavity_dim, self.index,
-                           self.values / n)
+                           self.values / n, self.rows)
 
     def with_fixed_phase(self) -> "StateVector":
         """Rotate the global phase so the largest amplitude is real positive.
 
         Of several largest amplitudes, the one at the lowest index counts.
         """
-        a = self.values[int(np.argmax(np.abs(self.values)))]
+        mag = np.abs(self.values)
+        top = np.flatnonzero(mag == mag.max())
+        # entry k holds cavity level k // 2**r, qubit bits index[k % 2**r]
+        level, at = np.divmod(top, self.index.size)
+        a = self.values[top[np.argmin(level << self.n_qubits
+                                      | self.index[at])]]
         if a == 0:
             return self
         return _on_support(self.n_qubits, self.cavity_dim, self.index,
-                           self.values * (abs(a) / a))
-
-
-def _hold(state: StateVector, n_qubits: int, cavity_dim: int,
-          index: np.ndarray, values: np.ndarray) -> None:
-    for name, value in (("n_qubits", n_qubits), ("cavity_dim", cavity_dim),
-                        ("index", index), ("values", values)):
-        object.__setattr__(state, name, value)
+                           self.values * (abs(a) / a), self.rows)
 
 
 def _on_support(n_qubits: int, cavity_dim: int, index: np.ndarray,
-                values: np.ndarray) -> StateVector:
-    """The state with ``values`` at the sorted, unique basis ``index``."""
+                values: np.ndarray, rows) -> StateVector:
+    """The state with ``values`` on the coset ``index`` of span ``rows``."""
     _check_register(n_qubits, cavity_dim)
     state = object.__new__(StateVector)
-    _hold(state, n_qubits, cavity_dim, index, values)
+    vars(state).update(n_qubits=n_qubits, cavity_dim=cavity_dim, index=index,
+                       values=values, rows=tuple(rows))
     return state
+
+
+def _levels(state: StateVector) -> np.ndarray:
+    """``state.values`` viewed as (cavity_dim, 2**r), one row per level."""
+    return state.values.reshape(state.cavity_dim, -1)
+
+
+def _partner(blocks: np.ndarray, dep: int) -> np.ndarray:
+    """``blocks`` with the entry at coordinate ``c ^ dep`` at ``c``."""
+    if not dep:
+        return blocks
+    return blocks.take(np.arange(blocks.shape[-1]) ^ dep, axis=-1)
 
 
 def _cavity_block(state: StateVector, n_c: int) -> StateVector:
     """The ``n_c``-photon block of ``state``, as a state with no cavity."""
-    base = n_c << state.n_qubits
-    lo, hi = np.searchsorted(state.index, (base, base + state.qubit_dim))
-    return _on_support(state.n_qubits, 1, state.index[lo:hi] - base,
-                       state.values[lo:hi])
+    return _on_support(state.n_qubits, 1, state.index, _levels(state)[n_c],
+                       state.rows)
 
 
 def _check_operator(op: PauliString, n_qubits: int) -> None:
@@ -156,58 +179,26 @@ def _check_operator(op: PauliString, n_qubits: int) -> None:
             f"operator on {op.n_sites} sites, register has {n_qubits}")
 
 
-def _lookup(index: np.ndarray, query: np.ndarray) -> tuple[np.ndarray,
-                                                            np.ndarray]:
-    """Where the entries of ``query`` sit in the sorted ``index``.
-
-    Returns the mask of the entries of ``query`` that ``index`` holds and
-    an array of positions in ``index``, of ``query``'s shape, that is
-    right where the mask is set; both come from one ``searchsorted``.
-    ``query`` need not be sorted.
-    """
-    pos = np.searchsorted(index, query)
-    if not index.size:
-        return np.zeros(query.shape, dtype=bool), pos
-    # a query above every entry would point past the end
-    np.minimum(pos, index.size - 1, out=pos)
-    return index[pos] == query, pos
-
-
 # _UNITS[p][k] = i**p (-1)**k for every popcount k of an int64 index
 _UNITS = tuple((1j ** p) * (1.0 - 2.0 * (np.arange(64) & 1))
                for p in range(4))
 
 
-def _factor(op: PauliString, index: np.ndarray) -> np.ndarray:
-    """``i**p (-1)**popcount(t & z)`` for each basis index ``t`` of
-    ``index``: what ``P = i**p X(x) Z(z)`` multiplies the amplitude at
-    ``t`` by as it moves it to ``t ^ x``.
+def _factor(op: PauliString, index: np.ndarray,
+            weight: float = 1.0) -> np.ndarray:
+    """``weight i**p (-1)**popcount(t & z)`` for each basis index ``t`` of
+    ``index``: what ``weight P``, ``P = i**p X(x) Z(z)``, multiplies the
+    amplitude at ``t`` by as it moves it to ``t ^ x``.
 
     Each index reads its popcount's entry of a signed-unit table, which
-    holds ``i**p`` times ``+1.0`` and ``-1.0`` alternately: the same
-    complex-by-real product per entry as ``i**p`` times an array of
-    signs, so the values agree bit for bit, signed zeros included.
+    holds ``i**p`` times ``+1.0`` and ``-1.0`` alternately, scaled by
+    ``weight`` unless it is 1: the same complex-by-real product per entry
+    as ``i**p`` times an array of signs, so at weight 1 the values agree
+    with it bit for bit, signed zeros included.
     """
-    return _UNITS[op.phase_exp].take(np.bitwise_count(index & op.z_mask))
-
-
-def _pauli_images(terms, n_qubits: int,
-                  index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each ``(c, P)`` of ``terms`` sends each basis index, and the factor.
-
-    ``P = i**p X(x) Z(z)`` maps basis index ``t`` to ``t ^ x`` with the
-    factor ``c i**p (-1)**popcount(t & z)``.  ``x`` and ``z`` act on the
-    qubit bits only, so a cavity level stays put.  Both results are
-    ``(len(terms), index.size)`` arrays, row ``k`` for term ``k``; the
-    image indices are not sorted.
-    """
-    for _, op in terms:
-        _check_operator(op, n_qubits)
-    x = np.array([op.x_mask for _, op in terms], dtype=np.int64)
-    z = np.array([op.z_mask for _, op in terms], dtype=np.int64)
-    w = np.array([c * 1j ** op.phase_exp for c, op in terms], dtype=complex)
-    odd = np.bitwise_count(index & z[:, None]) & 1
-    return index ^ x[:, None], w[:, None] * (1.0 - 2.0 * odd)
+    units = _UNITS[op.phase_exp]
+    units = units if weight == 1.0 else weight * units
+    return units.take(np.bitwise_count(index & op.z_mask))
 
 
 def basis_state(n_qubits: int, bits: int = 0, cavity_dim: int = 1,
@@ -232,24 +223,43 @@ def random_state(n_qubits: int, cavity_dim: int = 1,
 def apply_pauli(state: StateVector, op: PauliString) -> StateVector:
     """Apply a Pauli string to the qubit register; cavity factor untouched.
 
-    Each entry at ``t`` moves to ``t ^ x_mask`` and is multiplied by the
-    unit :func:`_factor`, so the values stay exact; the images are then
-    sorted.
+    ``x_mask`` reduces against the rows to a remainder and ``dep``: the
+    entry at coordinate ``c`` is multiplied by the unit :func:`_factor` at
+    its index and moves to coordinate ``c ^ dep`` of the coset whose
+    indices all moved by the remainder.  One gather; the values stay exact.
     """
     _check_operator(op, state.n_qubits)
-    index = state.index ^ op.x_mask
-    order = np.argsort(index)
-    return _on_support(state.n_qubits, state.cavity_dim, index[order],
-                       (_factor(op, state.index) * state.values)[order])
+    rem, dep = _gf2_reduce(op.x_mask, state.rows)
+    image = _factor(op, state.index) * _levels(state)
+    return _on_support(state.n_qubits, state.cavity_dim, state.index ^ rem,
+                       _partner(image, dep).ravel(), state.rows)
 
 
 def overlap(u: StateVector, v: StateVector) -> complex:
-    """``<u|v>``: ``v``'s indices are looked up in ``u``'s sorted ones, and
-    the entries both supports hold are summed in index order."""
+    """``<u|v>``, one ``vdot`` over the entries both cosets hold.
+
+    On one span, ``index[0] ^ index[0]`` reduces to a remainder (the
+    cosets are disjoint) or to a ``dep``: ``v``'s coordinate ``c`` is
+    ``u``'s ``c ^ dep``.  Across spans, all of ``v``'s indices reduce
+    against ``u``'s rows at once, one pass per row; one that reduces to
+    0 is on ``u``'s coset, at the XOR of the deps of the rows used.
+    Neither side is scattered.
+    """
     if (u.n_qubits, u.cavity_dim) != (v.n_qubits, v.cavity_dim):
         raise DimensionMismatchError("state dimensions differ")
-    hit, pos = _lookup(u.index, v.index)
-    return complex(np.vdot(u.values[pos[hit]], v.values[hit]))
+    if u.rows == v.rows:
+        rem, dep = _gf2_reduce(int(u.index[0] ^ v.index[0]), u.rows)
+        if rem:
+            return 0j
+        return complex(np.vdot(_partner(_levels(u), dep), _levels(v)))
+    key = v.index ^ u.index[0]
+    coord = np.zeros_like(key)
+    for vec, dep in u.rows:
+        hit = (key ^ vec) < key
+        np.bitwise_xor(key, vec, out=key, where=hit)
+        np.bitwise_xor(coord, dep, out=coord, where=hit)
+    held = key == 0
+    return complex(np.vdot(_levels(u)[:, coord[held]], _levels(v)[:, held]))
 
 
 def expectation(state: StateVector, op: PauliString) -> complex:
@@ -263,38 +273,26 @@ def expectation(state: StateVector, op: PauliString) -> complex:
 def expectations(state: StateVector, ops) -> list[complex]:
     """``<state| op |state>`` for each of ``ops``, in order.
 
-    An operator maps basis index ``t`` to ``s = t ^ x_mask``, so
-    ``(op psi)(s) = f(t) psi(t)`` with the factor ``f`` of
-    :func:`_factor`, and its expectation is the sum of
-    ``conj(psi(s)) f(t) psi(t)`` over the ``s`` whose partner
-    ``t = s ^ x_mask`` the support holds.  The partners of every operator
-    of a chunk, unsorted, are joined against the sorted support by one
-    ``searchsorted``; a chunk has at most ``DENSE_ELEMENTS`` partners, so
-    as many operators as that allows.  Each operator's sum is then its
-    own ``np.vdot`` over its row of the join in index order, which gives
-    every value bit for bit as a chunk of one would.  No sort and no
-    intermediate state: the cost is one lookup per support entry and
-    operator.  A Hermitian operator whose value comes out complex beyond
-    1e-12 raises ``AssertionError``.
+    An operator whose ``x_mask`` leaves a remainder against the rows
+    moves the coset off itself, so its value is exactly ``0j``.
+    Otherwise it sends coordinate ``c`` to ``c ^ dep`` with the factor
+    ``f`` of :func:`_factor`, and its value is the sum of
+    ``conj(psi(c)) f(c ^ dep) psi(c ^ dep)`` over the coordinates: one
+    gather and one ``np.vdot`` per operator, no lookup and no
+    intermediate state.  A Hermitian operator whose value comes out
+    complex beyond 1e-12 raises ``AssertionError``.
     """
-    ops = list(ops)
+    blocks = _levels(state)
+    out = []
     for op in ops:
         _check_operator(op, state.n_qubits)
-    index, values = state.index, state.values
-    chunk = max(1, DENSE_ELEMENTS // max(index.size, 1))
-    out = []
-    for start in range(0, len(ops), chunk):
-        part = ops[start:start + chunk]
-        x = np.array([op.x_mask for op in part], dtype=np.int64)
-        partners = index ^ x[:, None]
-        hits, pos = _lookup(index, partners)
-        for op, partner, hit, at in zip(part, partners, hits, pos):
-            factor = _factor(op, partner[hit])
-            val = complex(np.vdot(values[hit], factor * values[at[hit]]))
-            if op.is_hermitian() and abs(val.imag) > 1e-12:
-                raise AssertionError(
-                    f"Hermitian expectation came out complex: {val}")
-            out.append(val)
+        rem, dep = _gf2_reduce(op.x_mask, state.rows)
+        val = 0j if rem else complex(np.vdot(
+            blocks, _partner(_factor(op, state.index) * blocks, dep)))
+        if op.is_hermitian() and abs(val.imag) > 1e-12:
+            raise AssertionError(
+                f"Hermitian expectation came out complex: {val}")
+        out.append(val)
     return out
 
 
@@ -305,25 +303,25 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
     every bond plaquette, in that order, applied to basis index 0 (every
     site Z +1) and normalized: a +1 eigenstate of every plaquette
     operator and of every link ZZ.  It is built and returned on its
-    support, in the zero-photon block; every other block is zero.  Each
+    coset, in the zero-photon block; every other block is zero.  Each
     ``W = i**p X(x) Z(z)`` maps basis index ``t`` to ``t ^ x`` with the
     factor :func:`_factor`.  If ``x`` is outside the GF(2) span of the
-    x-masks so far, the image is new and the support doubles; otherwise
-    ``W`` permutes the support and its image is added in place.  So the
-    support has ``2**rank`` entries, ``rank`` that of the plaquette
-    x-masks, and that count is checked against the budget before any
-    array is built.  A projection that annihilates the state would signal
-    an inconsistent sign convention and raises instead of silently
-    renormalizing.  The phase is fixed by
-    :meth:`StateVector.with_fixed_phase`.  The tests keep the
-    full-register projection loop as the reference.
+    x-masks so far, the image is new: ``x`` becomes the next generator
+    and the coset doubles.  Otherwise ``W`` sends coordinate ``c`` to
+    ``c ^ dep`` and its image is added in place.  So the coset has
+    ``2**rank`` entries, ``rank`` that of the plaquette x-masks, and that
+    count is checked against the budget before any array is built.  A
+    projection that annihilates the state would signal an inconsistent
+    sign convention and raises instead of silently renormalizing.  The
+    phase is fixed by :meth:`StateVector.with_fixed_phase`.  The tests
+    keep the full-register projection loop as the reference.
     """
     _check_register(layout.n_sites, cavity_dim)
     steps = [(plq, family, op) for plq in layout.bond_plaquettes
              for family, op in ((UP, plq.up), (DOWN, plq.down))]
     # echelon x-masks; dep bit k is the k-th x-mask that doubled the
-    # support, and idx[j] is the XOR of the x-masks whose bits j sets;
-    # a step's dep is None when its x-mask doubles the support
+    # coset, and idx[c] is the XOR of the x-masks whose bits c sets;
+    # a step's dep is None when its x-mask doubles the coset
     rows: list[tuple[int, int]] = []
     deps: list[int | None] = []
     for _, _, op in steps:
@@ -331,8 +329,9 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
         if x:
             rows.append((x, dep ^ (1 << len(rows))))
         deps.append(None if x else dep)
-    _require_capacity(1 << len(rows),
-                      f"ground-state support of 2**{len(rows)} entries")
+    what = f"ground-state support of 2**{len(rows)} entries"
+    _require_capacity(cavity_dim << len(rows),
+                      what if cavity_dim == 1 else f"{cavity_dim} x {what}")
     idx = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=complex)
     for (plq, family, op), dep in zip(steps, deps):
@@ -341,37 +340,44 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
             idx = np.concatenate((idx, idx ^ op.x_mask))
             vals = np.concatenate((vals, image))
         else:
-            vals = vals + image[np.arange(vals.size) ^ dep]
+            vals = vals + _partner(image, dep)
             if not np.any(vals):
                 raise ZeroProjectionError(
                     f"plaquette {plq.index} ({family}) "
                     "annihilated the state")
-    order = np.argsort(idx)
-    ground = _on_support(layout.n_sites, cavity_dim, idx[order], vals[order])
-    return ground.normalized().with_fixed_phase()
+    ground = _on_support(layout.n_sites, 1, idx, vals, rows).normalized()
+    values = ground.with_fixed_phase().values
+    return _on_support(layout.n_sites, cavity_dim, idx,
+                       np.pad(values, (0, (cavity_dim - 1) * idx.size)), rows)
 
 
 def energy_moments(state: StateVector, ham: HamiltonianTerms) -> tuple[float, float]:
     """(<H>, variance) for a Hermitian term list; the variance is >= 0.
 
-    ``H|state>`` is built on its support: the images of every term (see
-    :func:`_pauli_images`), concatenated and summed per distinct index.
-    Their count, terms times support entries, is checked against the
-    budget first.
+    Each term ``c P`` sends the state onto the coset moved by the
+    remainder of its ``x_mask`` (see :func:`apply_pauli`), so ``H|state>``
+    is one buffer of the state's size per distinct remainder, the sum of
+    the images of its terms in term order.  ``<H>`` is the overlap of the
+    state with the buffer of remainder 0, and ``<H^2>`` the sum of the
+    buffers' squared norms, since distinct cosets are disjoint.  The
+    buffers are built one at a time, so whatever the number of terms the
+    peak is a few times the state.
     """
     if ham.n_sites != state.n_qubits:
         raise DimensionMismatchError("Hamiltonian register mismatch")
-    _require_capacity(len(ham.terms) * state.values.size,
-                      f"images of {len(ham.terms)} terms on "
-                      f"{state.values.size} entries")
-    images, factor = _pauli_images(ham.terms, state.n_qubits, state.index)
-    index, where = np.unique(images.ravel(), return_inverse=True)
-    image = (factor * state.values).ravel()
-    hv = (np.bincount(where, image.real, index.size)
-          + 1j * np.bincount(where, image.imag, index.size))
-    e = overlap(state, _on_support(state.n_qubits, state.cavity_dim,
-                                   index, hv)).real
+    groups: dict[int, list] = {}
+    for c, op in ham.terms:
+        rem, dep = _gf2_reduce(op.x_mask, state.rows)
+        groups.setdefault(rem, []).append((c, op, dep))
+    blocks = _levels(state)
+    e = hh = 0.0
+    for rem, terms in groups.items():
+        hv = np.zeros_like(blocks)
+        for c, op, dep in terms:
+            hv += _partner(_factor(op, state.index, c) * blocks, dep)
+        if not rem:
+            e = float(np.vdot(blocks, hv).real)
+        hh += float(np.vdot(hv, hv).real)
     # a Hermitian operator's variance is >= 0; <H^2> - <H>^2 can round
     # below zero by O(eps <H^2>), and max(0.0, .) never returns -0.0
-    var = max(0.0, float(np.vdot(hv, hv).real) - e * e)
-    return e, var
+    return e, max(0.0, hh - e * e)

@@ -29,7 +29,12 @@ from semionlab.anyons import (
 from semionlab.hamiltonian import build_spin_hamiltonian, spectrum
 from semionlab.lattice import BLACK, WHITE, build_layout
 from semionlab.operators import link_zz_op, z_op
-from semionlab.pauli import PauliString, apply_pauli_sum, multiply
+from semionlab.pauli import (
+    PauliString,
+    _gf2_reduce,
+    apply_pauli_sum,
+    multiply,
+)
 from semionlab.states import (
     StateVector,
     apply_pauli,
@@ -223,6 +228,27 @@ class TestExpectationAndOverlap:
             apply_pauli(basis_state(2), PauliString.single(3, 0, "X"))
 
 
+def _coset_state(n, cavity_dim, rng, n_generators):
+    """Random amplitudes on a random coset ``base ^ span(g_1 ... g_k)``.
+
+    A random base and ``n_generators`` random x-masks, then one XOR of
+    two of them and a zero mask, so some generators are dependent; each
+    independent one doubles the coset, as in ``project_ground``.
+    """
+    gens = [int(g) for g in rng.integers(1 << n, size=n_generators)]
+    gens += [gens[0] ^ gens[-1], 0] if gens else [0]
+    index = np.array([rng.integers(1 << n)], dtype=np.int64)
+    rows = []
+    for g in gens:
+        x, dep = _gf2_reduce(g, rows)
+        if x:
+            rows.append((x, dep ^ (1 << len(rows))))
+            index = np.concatenate((index, index ^ g))
+    size = cavity_dim * index.size
+    values = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return semionlab.states._on_support(n, cavity_dim, index, values, rows)
+
+
 class TestExpectationJoin:
     @settings(max_examples=200, deadline=None)
     @given(letters=hst.lists(hst.sampled_from("IXYZ"), min_size=1,
@@ -231,19 +257,17 @@ class TestExpectationJoin:
            sparse=hst.booleans(), seed=hst.integers(0, 2**32 - 1))
     def test_matches_dense_vdot(self, letters, phase, cavity_dim, sparse,
                                 seed):
-        # a sparse support leaves some partners t ^ x outside it
+        # a coset that is not the whole register leaves some partners
+        # t ^ x outside it
         n = len(letters)
         op = PauliString.from_letters(n, dict(enumerate(letters))).times_i(
             phase)
         rng = np.random.default_rng(seed)
-        dim = cavity_dim << n
-        index = np.arange(dim, dtype=np.int64)
         if sparse:
-            index = np.sort(rng.choice(dim, rng.integers(1, dim + 1),
-                                       replace=False)).astype(np.int64)
-        values = rng.standard_normal(index.size) + \
-            1j * rng.standard_normal(index.size)
-        state = semionlab.states._on_support(n, cavity_dim, index, values)
+            state = _coset_state(n, cavity_dim, rng,
+                                 int(rng.integers(0, n + 1)))
+        else:
+            state = random_state(n, cavity_dim, rng)
         amps = state.amplitudes
         want = np.vdot(amps, (amps.reshape(cavity_dim, -1)
                               @ op.to_matrix().T).ravel())
@@ -266,46 +290,14 @@ class TestGroupedExpectations:
         assert all(isinstance(v, complex) for v in got)
         assert np.max(np.abs(np.array(got) - want)) < 1e-12
 
-    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 64])
-    @pytest.mark.parametrize("cavity_dim", [1, 2])
-    def test_chunk_boundaries(self, monkeypatch, budget, cavity_dim):
-        # a dense budget of a few supports splits the operators into
-        # chunks of that many, or of one when it is below one support;
-        # every value is still bit for bit the one-at-a-time value
-        rng = np.random.default_rng(30 + budget + cavity_dim)
-        layout = build_layout(2, 3)
-        ops = [op for p in layout.bond_plaquettes for op in (p.up, p.down)]
-        ops += [PauliString(layout.n_sites, int(rng.integers(1 << 12)),
-                            int(rng.integers(1 << 12)), 2 * k % 4)
-                for k in range(13)]
-        for st in (random_state(layout.n_sites, cavity_dim, rng),
-                   project_ground(layout, cavity_dim)):
-            want = [expectation(st, op) for op in ops]
-            size = st.index.size
-            joins = []
-            lookup = semionlab.states._lookup
-            monkeypatch.setattr(semionlab.states, "DENSE_ELEMENTS",
-                                budget * size + size - 1 if budget > 1
-                                else size - 1)
-            monkeypatch.setattr(
-                semionlab.states, "_lookup",
-                lambda index, query: joins.append(query.size)
-                or lookup(index, query))
-            got = expectations(st, ops)
-            monkeypatch.undo()
-            assert np.array(got).view(np.int64).tolist() == \
-                np.array(want).view(np.int64).tolist()
-            per_chunk = min(budget, len(ops))
-            assert len(joins) == -(-len(ops) // per_chunk)
-            assert joins[:-1] == [per_chunk * size] * (len(joins) - 1)
-
     def test_empty_support_gives_zeros(self):
-        # the one-photon block of a state with no photon holds nothing
+        # the one-photon block of a state with no photon is all zeros
         empty = semionlab.states._cavity_block(
             project_ground(build_layout(1, 2), cavity_dim=2), 1)
-        assert empty.index.size == 0
-        ops = [PauliString.single(4, 0, "X"), PauliString.single(4, 1, "Z")]
-        assert expectations(empty, ops) == [0j, 0j]
+        assert empty.values.size == 2 and not np.any(empty.values)
+        ops = [PauliString.single(4, 0, "X"), PauliString.single(4, 1, "Z"),
+               build_layout(1, 2).bond_plaquettes[0].up]
+        assert expectations(empty, ops) == [0j, 0j, 0j]
         assert expectation(empty, ops[1]) == 0j
 
     def test_non_hermitian_value_passes_through(self):
@@ -365,14 +357,9 @@ class TestSupportAllocations:
 
 
 def _sparse_state(n, cavity_dim, rng):
-    """Random amplitudes on random basis indices of every block, some of
-    them in the zero-photon block."""
-    index = np.union1d(rng.choice(cavity_dim << n, 40),
-                       rng.choice(1 << n, 8)).astype(np.int64)
-    values = rng.standard_normal(index.size) + \
-        1j * rng.standard_normal(index.size)
-    return semionlab.states._on_support(n, cavity_dim, index,
-                                        values).normalized()
+    """Random amplitudes on a random coset of up to 2**6 entries, in
+    every block."""
+    return _coset_state(n, cavity_dim, rng, min(n, 6)).normalized()
 
 
 def _random_op(n, rng):
@@ -496,6 +483,56 @@ def test_stabilizer_route_past_the_dense_budget():
             layout, rng.choice(32, 3, replace=False).tolist())
         assert abs(braid_phase_on_state(loop, crossing, ground)
                    - braid_phase(loop, crossing)) < 1e-10
+
+
+@pytest.mark.parametrize("name", ["vortex_map", "energy_moments"])
+def test_ground_state_op_peaks_at_a_few_states(name):
+    # 4x4: 4,096 entries of 2**32; operators and terms are applied to
+    # the coset one at a time, so the transient is a few copies of the
+    # state, not one per operator or term
+    layout = build_layout(4, 4)
+    ground = project_ground(layout)
+    call = {
+        "vortex_map": partial(vortex_map, ground, layout),
+        "energy_moments": partial(
+            energy_moments, ground,
+            build_spin_hamiltonian(layout, 0.7, 1.3, 0.4)),
+    }[name]
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * ground.values.nbytes
+
+
+def test_energy_moments_at_5x5():
+    # 50 qubits, 2**20 entries, 65 terms
+    layout = build_layout(5, 5)
+    j_up, j_down, u = 0.7, 1.3, 0.4
+    energy, variance = energy_moments(
+        project_ground(layout),
+        build_spin_hamiltonian(layout, j_up, j_down, u))
+    expected = -(j_up + j_down) * len(layout.square.bonds) \
+        - u * layout.square.n_sites
+    assert abs(energy - expected) < 1e-10
+    assert variance < 1e-10
+
+
+def test_overlap_across_spans_is_the_index_join():
+    # 4x4 and 2x8 both have 32 qubits, but their cosets have other spans
+    u = project_ground(build_layout(4, 4))
+    v = project_ground(build_layout(2, 8))
+    assert u.rows != v.rows
+    held = dict(zip(u.index.tolist(), u.values))
+    shared = [(held[t], a) for t, a in zip(v.index.tolist(), v.values)
+              if t in held]
+    assert shared
+    want = sum(np.conj(a) * b for a, b in shared)
+    assert abs(overlap(u, v) - want) < 1e-12
+    assert abs(overlap(v, u) - np.conj(want)) < 1e-12
 
 
 class TestStateVectorBasics:

@@ -1,0 +1,200 @@
+"""Byte comparison of the CLI of two trees, one fresh process per run.
+
+Run from anywhere, with two checkouts of this repository:
+
+    python tools/cli_bytes.py PARENT CHANGE
+
+Each tree's CLI (``python -m semionlab.cli`` with that tree's ``src``
+first on ``PYTHONPATH``) runs on a fixed set of configs, each once with
+``--format json`` and once with ``--format csv``:
+
+- every config of the plans of both benchmark workloads at seeds 1-3,
+  built by PARENT's ``perfbench/plans.py`` (nothing else of
+  ``perfbench`` is read), each run with the seed the benchmark gives it;
+- the example config of each command in the README;
+- a fixed list of ``ground`` configs with signed couplings.
+
+For each run the exit code, stdout and stderr of the two trees are
+compared byte for byte.  A run that differs is printed with what
+differs: the exit codes, the report keys whose values differ (JSON paths
+with list positions folded to ``[]``, or the first cell of each CSV line
+that differs) and whether stderr differs.  The exit code is 1 if any run
+differs, else 0.  BLAS and OpenMP are pinned to one thread.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import itertools
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PACKAGE = "semionlab"
+SEEDS = (1, 2, 3)
+FORMATS = ("json", "csv")
+
+README_CONFIGS = (
+    ("lattice", {"rows": 2, "cols": 3}, 0),
+    ("ground", {"rows": 2, "cols": 3}, 0),
+    ("spectrum", {"rows": 2, "cols": 3, "random_trials": 5}, 1),
+    ("braid", {"rows": 2, "cols": 3,
+               "loop": {"family": "z",
+                        "sites": [[0, "black"], [0, "white"],
+                                  [1, "black"], [1, "white"]]},
+               "crossing": {"family": "x", "sites": [[0, "black"]]},
+               "state_check": True}, 0),
+    ("qnd", {"n_qubits": 10, "sites": [0, 2, 3, 7, 9]}, 0),
+    ("circuit", {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24,
+                 "beta": 0.05, "c_a": 25e-18, "c_b": 20e-18}, 0),
+)
+
+# (rows, cols, j_up, j_down, u).  `ground` projects every plaquette to +1
+# from basis index 0, the ground sector only when every coupling is
+# positive, so the first three exit 1; 4x4 exits 2 at the spectrum.
+SIGNED_GROUND = (
+    (2, 3, 1.0, 0.5, -1.0),
+    (2, 3, -1.0, -0.5, 0.3),
+    (1, 4, 1.79, -0.75, -0.31),
+    (2, 3, -1.0, -1.0, -1.0),
+    (1, 2, 0.3, -2.0, 1.5),
+    (3, 2, 1.4, 0.6, -0.2),
+    (2, 4, -0.9, 1.1, -0.6),
+    (3, 3, 0.7, -1.3, 0.4),
+    (3, 3, 0.7, 1.3, 0.4),
+    (4, 4, 0.7, 1.3, 0.4),
+)
+
+
+def _plan_runs(parent: Path) -> list[tuple[str, str, dict, int]]:
+    """``(label, command, config, seed)`` of every benchmark plan config."""
+    spec = importlib.util.spec_from_file_location(
+        "cli_bytes_plans", parent / "perfbench" / "plans.py")
+    plans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(plans)
+    runs = []
+    for workload, seed in itertools.product(plans.WORKLOADS, SEEDS):
+        plan = plans.make_plan(workload, seed)
+        params = plan["params"]
+        for stem, cfg in plan["configs"].items():
+            # the seed the benchmark passes each CLI run
+            cli_seed = params.get("qnd_seeds", {}).get(
+                stem, params.get("cli_seed", 0))
+            command = re.match(r"[a-z]+", stem).group()
+            runs.append((f"{workload}:{seed}:{stem}", command, cfg,
+                         cli_seed))
+    return runs
+
+
+def _all_runs(parent: Path) -> list[tuple[str, str, dict, int]]:
+    runs = _plan_runs(parent)
+    runs += [(f"readme:{command}", command, cfg, seed)
+             for command, cfg, seed in README_CONFIGS]
+    runs += [(f"signed:{r}x{c}:{j_up},{j_down},{u}", "ground",
+              {"rows": r, "cols": c, "j_up": j_up, "j_down": j_down,
+               "u": u}, 0)
+             for r, c, j_up, j_down, u in SIGNED_GROUND]
+    return runs
+
+
+def _environment(root: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]]
+                               if env.get("PYTHONPATH") else []))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def _check_import(root: Path, env: dict, work: Path) -> None:
+    """Exit unless ``root``'s own package is the one imported."""
+    found = subprocess.run(
+        [sys.executable, "-c", f"import {PACKAGE}; print({PACKAGE}.__file__)"],
+        env=env, cwd=work, capture_output=True, text=True, check=True)
+    path = Path(found.stdout.strip()).resolve()
+    if root / "src" not in path.parents:
+        raise SystemExit(f"{PACKAGE} of {root} imported from {path}")
+
+
+def _run(env: dict, work: Path, command: str, config: Path, fmt: str,
+         seed: int) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", f"{PACKAGE}.cli", command, "--config",
+         str(config), "--format", fmt, "--seed", str(seed)],
+        env=env, cwd=work, capture_output=True)
+
+
+def _leaves(obj, path: str = ""):
+    """``(path, value)`` of every scalar of a JSON report."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(obj, list):
+        for value in obj:
+            yield from _leaves(value, f"{path}[]")
+    else:
+        yield path, obj
+
+
+def _differing_keys(fmt: str, a: bytes, b: bytes) -> list[str]:
+    """The report keys whose values differ between two stdouts."""
+    if fmt == "json":
+        try:
+            left = list(_leaves(json.loads(a)))
+            right = list(_leaves(json.loads(b)))
+        except ValueError:
+            return ["(not JSON)"]
+        pairs = itertools.zip_longest(left, right, fillvalue=("", None))
+        keys = [p or q for (p, x), (q, y) in pairs if p != q or x != y]
+    else:
+        pairs = itertools.zip_longest(a.decode().splitlines(),
+                                      b.decode().splitlines(), fillvalue="")
+        keys = [(x or y).split(",")[0] for x, y in pairs if x != y]
+    return sorted(set(keys))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    args = parser.parse_args()
+    trees = (args.parent.resolve(), args.change.resolve())
+    runs = _all_runs(trees[0])
+
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="cli_bytes-") as tmp:
+        work = Path(tmp)
+        envs = [_environment(root) for root in trees]
+        for root, env in zip(trees, envs):
+            _check_import(root, env, work)
+        for k, (label, command, cfg, seed) in enumerate(runs):
+            config = work / f"config{k}.json"
+            config.write_text(json.dumps(cfg), encoding="utf-8")
+            for fmt in FORMATS:
+                old, new = (_run(env, work, command, config, fmt, seed)
+                            for env in envs)
+                same = (old.returncode, old.stdout, old.stderr) == \
+                    (new.returncode, new.stdout, new.stderr)
+                if same:
+                    continue
+                differ += 1
+                keys = _differing_keys(fmt, old.stdout, new.stdout)
+                stderr = "differs" if old.stderr != new.stderr else "same"
+                print(f"DIFF {label} --format {fmt}: exit "
+                      f"{old.returncode} -> {new.returncode}; stdout keys "
+                      f"{keys}; stderr {stderr}")
+    total = len(runs) * len(FORMATS)
+    print(f"{total} runs ({len(runs)} configs x {len(FORMATS)} formats), "
+          f"{differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
