@@ -42,6 +42,7 @@ from .hamiltonian import (
     build_device_hamiltonian,
     build_spin_hamiltonian,
     dense_matrix,
+    ground_sector,
     predicted_ground_degeneracy,
     spectrum,
 )

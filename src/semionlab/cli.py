@@ -28,6 +28,7 @@ from .anyons import (
     _zero_photon_readout,
     braid_phase,
     braid_phase_on_state,
+    predicted_flips,
     qnd_closed_form_deviation,
     vortex_map,
 )
@@ -49,12 +50,14 @@ from .errors import (
 from .hamiltonian import (
     DiagonalOracle,
     build_spin_hamiltonian,
+    ground_sector,
     predicted_ground_degeneracy,
     spectrum,
 )
-from .lattice import build_layout
+from .lattice import DOWN, UP, build_layout
 from .pauli import PauliString, _site_mask
 from .states import (
+    apply_pauli,
     energy_moments,
     expectation,
     project_ground,
@@ -211,23 +214,24 @@ def run_ground(cfg: dict, args) -> tuple[dict, bool]:
     j_up = float(cfg.get("j_up", 1.0))
     j_down = float(cfg.get("j_down", 1.0))
     u = float(cfg.get("u", 1.0))
-    state = project_ground(layout)
     ham = build_spin_hamiltonian(layout, j_up, j_down, u)
-    # the spectrum's size check refuses 4x4 and up before the moments run
-    eig = spectrum(ham)
+    # the tableau's size check refuses 4x4 and up before the state is built
+    move, min_energy, ed_deg = ground_sector(ham)
+    state = apply_pauli(project_ground(layout), move)
     energy, variance = energy_moments(state, ham)
     vmap = vortex_map(state, layout)
+    flips = predicted_flips(layout, move)
     oracle_deg = DiagonalOracle(layout, j_up, j_down, u).ground_degeneracy()
     try:
         predicted = predicted_ground_degeneracy(layout, j_up, j_down, u)
     except ValueError:
         predicted = None  # outside the chain picture
-    ed_deg = int(np.count_nonzero(eig <= eig[0] + 1e-8))
     checks = {
-        "all_plaquettes_plus_one": all(
-            abs(w - 1) < 1e-12 and abs(wt - 1) < 1e-12
-            for w, wt in vmap.values),
-        "energy_is_minimum": abs(energy - float(eig[0])) < 1e-10,
+        "plaquettes_match_sector": all(
+            abs(w - (-1) ** (k in flips[UP])) < 1e-12
+            and abs(wt - (-1) ** (k in flips[DOWN])) < 1e-12
+            for k, (w, wt) in enumerate(vmap.values)),
+        "energy_is_minimum": abs(energy - min_energy) < 1e-10,
         "variance_small": variance < 1e-10,
         "degeneracy_match": oracle_deg == ed_deg and (
             predicted is None or predicted == ed_deg),
@@ -235,7 +239,7 @@ def run_ground(cfg: dict, args) -> tuple[dict, bool]:
     ok = all(checks.values())
     return {
         "energy": energy,
-        "min_eigenvalue": float(eig[0]),
+        "min_eigenvalue": min_energy,
         "energy_variance": variance,
         "vortex_map": [list(v) for v in vmap.values],
         "degeneracy": {

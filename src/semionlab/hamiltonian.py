@@ -39,7 +39,7 @@ from .operators import (
 from .pauli import (
     PauliString,
     _check_compatible,
-    _gf2_reduce,
+    _echelon,
     _z_signs,
     apply_pauli_sum,
     multiply_all,
@@ -52,6 +52,7 @@ __all__ = [
     "build_device_hamiltonian",
     "dense_matrix",
     "spectrum",
+    "ground_sector",
     "predicted_ground_degeneracy",
 ]
 
@@ -272,18 +273,21 @@ def dense_matrix(ham: HamiltonianTerms) -> np.ndarray:
     return mat
 
 
-def spectrum(ham: HamiltonianTerms) -> np.ndarray:
-    """Eigenvalues of a commuting term list, ascending, from its tableau.
+def _levels(ham: HamiltonianTerms) -> tuple[list[tuple[int, int]],
+                                            np.ndarray]:
+    """The tableau of a commuting term list: the echelon rows of its
+    symplectic vectors and the level of each generator sign pattern.
 
-    The terms' symplectic vectors ``x_mask << n | z_mask`` are reduced
-    over GF(2) in term order; the ``r`` independent terms are the
-    generators.  Every other term times the generators it depends on is
-    ``+-I`` (the sign is read off the exact product), so on the joint
-    eigenspace where generator ``g`` takes the sign ``(-1)**b_g`` each
-    term is a known sign and the energy is a signed sum of the
-    coefficients.  Each of the ``2**r`` sign patterns is one level with
-    multiplicity ``2**(n - r)``, and every eigenvalue is returned with
-    that multiplicity.  The ``2**n`` levels must fit the budget
+    The terms' vectors ``x_mask << n | z_mask`` are reduced over GF(2)
+    in term order (:func:`~semionlab.pauli._echelon`); the ``r``
+    independent terms are the generators, generator ``k`` the ``k``-th
+    to join the echelon.  Every other term times the generators it
+    depends on is ``+-I`` (the sign is read off the exact product), so on
+    the joint eigenspace where generator ``k`` takes the sign
+    ``(-1)**b_k`` each term is a known sign and the energy is a signed
+    sum of the coefficients.  Entry ``b`` of the ``2**r`` levels is that
+    sum for the pattern whose bit ``k`` is ``b_k``; each level has
+    multiplicity ``2**(n - r)``.  The ``2**n`` levels must fit the budget
     ``errors.DENSE_ELEMENTS`` (3x4, 24 sites, fits).  A list whose terms
     do not all commute raises ``ValueError``; diagonalize
     :func:`dense_matrix` for those.
@@ -293,25 +297,52 @@ def spectrum(ham: HamiltonianTerms) -> np.ndarray:
     if not ham.all_terms_commute():
         raise ValueError("spectrum needs commuting terms; "
                          "diagonalize dense_matrix(ham) instead")
-    # echelon rows (vector, generators it is the product of)
-    rows: list[tuple[int, int]] = []
+    rows, deps = _echelon(op.x_mask << n | op.z_mask for _, op in ham.terms)
     gens: list[PauliString] = []
-    deps: list[tuple[float, int]] = []
-    for coeff, op in ham.terms:
-        vec, dep = _gf2_reduce(op.x_mask << n | op.z_mask, rows)
-        if vec:
-            # the reduced row is the new generator times those in dep
-            rows.append((vec, dep ^ (1 << len(gens))))
+    levels = np.zeros(1 << len(rows))
+    for (coeff, op), dep in zip(ham.terms, deps):
+        if dep is None:
             dep = 1 << len(gens)
             gens.append(op)
-            sign = 1
-        else:
-            prod = multiply_all(
-                [op, *(g for k, g in enumerate(gens) if dep >> k & 1)])
-            sign = -1 if prod.phase_exp == 2 else 1  # prod is +-I
-        deps.append((coeff * sign, dep))
-    r = len(gens)
-    levels = np.zeros(1 << r)
-    for weight, dep in deps:
-        levels += weight * _z_signs(dep, r)
-    return np.repeat(np.sort(levels), 1 << (n - r))
+        elif multiply_all([op, *(g for k, g in enumerate(gens)
+                                 if dep >> k & 1)]).phase_exp == 2:
+            coeff = -coeff  # the product is -I
+        levels += coeff * _z_signs(dep, len(rows))
+    return rows, levels
+
+
+def spectrum(ham: HamiltonianTerms) -> np.ndarray:
+    """Eigenvalues of a commuting term list, ascending, from its tableau
+    (:func:`_levels`): each of the ``2**r`` levels repeated ``2**(n - r)``
+    times."""
+    rows, levels = _levels(ham)
+    return np.repeat(np.sort(levels), 1 << (ham.n_sites - len(rows)))
+
+
+def ground_sector(ham: HamiltonianTerms) -> tuple[PauliString, float, int]:
+    """``(move, energy, degeneracy)`` of the lowest level of the tableau
+    (:func:`_levels`).
+
+    ``energy`` is the first least level, pattern ``b``, and
+    ``degeneracy`` the number of eigenvalues within 1e-8 of it.  ``move``
+    is a Hermitian Pauli string that anticommutes with generator ``k``
+    exactly when bit ``k`` of ``b`` is set, so it carries the sector
+    where every generator is +1 to the ground sector.  With ``w = z << n
+    | x`` its symplectic product with a vector ``v`` is the parity of
+    ``w & v``; back substitution on the rows, last row first, flips a
+    row's leading bit of ``w`` until that parity matches the pattern's
+    on the row's dep (later rows never hold an earlier row's leading
+    bit).  Raises as :func:`spectrum` does.
+    """
+    n = ham.n_sites
+    rows, levels = _levels(ham)
+    pattern = int(np.argmin(levels))
+    w = 0
+    for vec, dep in reversed(rows):
+        if ((w & vec).bit_count() ^ (pattern & dep).bit_count()) & 1:
+            w ^= 1 << vec.bit_length() - 1
+    x, z = w & (1 << n) - 1, w >> n
+    energy = float(levels[pattern])
+    degeneracy = int(np.count_nonzero(levels <= energy + 1e-8))
+    return (PauliString(n, x, z, (x & z).bit_count(), ham.rep), energy,
+            degeneracy << n - len(rows))

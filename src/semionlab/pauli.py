@@ -254,14 +254,35 @@ def _gf2_reduce(vec: int, rows: list[tuple[int, int]]) -> tuple[int, int]:
     (the rows a caller builds by appending remainders are such).  The
     result is the remainder and the XOR of the deps of the rows used, so
     ``vec`` is the remainder XOR the inputs in that mask; a zero
-    remainder means ``vec`` lies in the span.  A caller that keeps a
-    nonzero remainder appends ``(remainder, dep ^ (1 << len(rows)))``.
+    remainder means ``vec`` lies in the span.  :func:`_echelon` builds
+    such rows.
     """
     dep = 0
     for row, row_dep in rows:
         if vec ^ row < vec:
             vec, dep = vec ^ row, dep ^ row_dep
     return vec, dep
+
+
+def _echelon(vectors) -> tuple[list[tuple[int, int]], list[int | None]]:
+    """Echelon ``rows`` of ``vectors`` over GF(2), read in order, and the
+    ``dep`` of each vector.
+
+    A vector that leaves a remainder against the rows so far is the next
+    generator: ``(remainder, dep ^ 1 << len(rows))`` is appended, so bit
+    ``k`` of a row's dep stands for the ``k``-th generator, and its entry
+    of ``deps`` is ``None``.  Any other vector is the XOR of the
+    generators in its ``deps`` entry.  The only code that builds an
+    echelon; :func:`_gf2_reduce` reads one.
+    """
+    rows: list[tuple[int, int]] = []
+    deps: list[int | None] = []
+    for vector in vectors:
+        vec, dep = _gf2_reduce(vector, rows)
+        if vec:
+            rows.append((vec, dep ^ 1 << len(rows)))
+        deps.append(None if vec else dep)
+    return rows, deps
 
 
 def _z_signs(z_mask: int, n_bits: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from .errors import (
 )
 from .hamiltonian import HamiltonianTerms
 from .lattice import DOWN, UP, HoneycombLayout
-from .pauli import PauliString, _gf2_reduce
+from .pauli import PauliString, _echelon, _gf2_reduce
 
 __all__ = [
     "StateVector",
@@ -74,7 +74,7 @@ def _amplitude_count(n_qubits: int, cavity_dim: int) -> int:
     return count
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class StateVector:
     """Complex amplitudes over cavity (x) qubits, held on a coset.
 
@@ -82,7 +82,9 @@ class StateVector:
     ``values`` the amplitudes, one block per cavity level in that order,
     and ``rows`` the span's echelon rows (see the module docstring).  The
     constructor takes the dense amplitude vector of length
-    ``cavity_dim * 2**n_qubits``; its coset is the whole register.
+    ``cavity_dim * 2**n_qubits``; its coset is the whole register.  Two
+    states are ``==`` only if they are the same object; compare them with
+    :func:`overlap`.
     """
 
     n_qubits: int
@@ -319,16 +321,10 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
     _check_register(layout.n_sites, cavity_dim)
     steps = [(plq, family, op) for plq in layout.bond_plaquettes
              for family, op in ((UP, plq.up), (DOWN, plq.down))]
-    # echelon x-masks; dep bit k is the k-th x-mask that doubled the
-    # coset, and idx[c] is the XOR of the x-masks whose bits c sets;
-    # a step's dep is None when its x-mask doubles the coset
-    rows: list[tuple[int, int]] = []
-    deps: list[int | None] = []
-    for _, _, op in steps:
-        x, dep = _gf2_reduce(op.x_mask, rows)
-        if x:
-            rows.append((x, dep ^ (1 << len(rows))))
-        deps.append(None if x else dep)
+    # dep bit k is the k-th x-mask that doubled the coset, and idx[c] is
+    # the XOR of the x-masks whose bits c sets; a step's dep is None when
+    # its x-mask doubles the coset
+    rows, deps = _echelon(op.x_mask for _, _, op in steps)
     what = f"ground-state support of 2**{len(rows)} entries"
     _require_capacity(cavity_dim << len(rows),
                       what if cavity_dim == 1 else f"{cavity_dim} x {what}")

@@ -199,9 +199,35 @@ class TestGround:
         assert report["degeneracy"] == {"oracle": 4,
                                         "exact_diagonalization": 4,
                                         "predicted": None}
-        assert report["checks"]["degeneracy_match"] is True
-        assert code == (0 if all(report["checks"].values()) else 1)
+        assert all(report["checks"].values())
+        assert code == 0
         assert err == ""
+
+    @pytest.mark.parametrize("j_up, j_down, u", [(1.0, 0.5, -1.0),
+                                                  (-1.0, -0.5, 0.3)])
+    def test_signed_couplings_reach_the_minimum(self, tmp_path, capsys, j_up,
+                                                j_down, u):
+        # the all-+1 plaquette sector lies above the minimum here: 0.0
+        # against -12.0 and 4.2 against -7.8 (the 1x4 case above: -1.88
+        # against -7.62)
+        cfg = write_config(tmp_path, "g.json", {
+            "rows": 2, "cols": 3, "j_up": j_up, "j_down": j_down, "u": u})
+        code, out, err = run(["ground", "--config", cfg], capsys)
+        report = json.loads(out)
+        assert code == 0 and err == ""
+        assert report["checks"] == {"plaquettes_match_sector": True,
+                                    "energy_is_minimum": True,
+                                    "variance_small": True,
+                                    "degeneracy_match": True}
+        assert report["energy"] == pytest.approx(report["min_eigenvalue"],
+                                                 abs=1e-10)
+
+    def test_4x4_refused_before_the_state(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "g.json", {"rows": 4, "cols": 4})
+        code, out, err = run(["ground", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "basis of 32 sites" in err
 
     def test_variance_never_negative(self, tmp_path):
         # on one BLAS thread <H^2> - <H>^2 rounds to -2.8e-14 here

@@ -12,6 +12,8 @@ from semionlab.errors import (
 )
 from semionlab.pauli import (
     PauliString,
+    _echelon,
+    _gf2_reduce,
     apply_pauli_sum,
     commutes,
     multiply,
@@ -296,6 +298,32 @@ class TestTextForm:
             q = PauliString.parse(str(p))
             assert (q.x_mask, q.z_mask, q.phase_exp) == \
                 (p.x_mask, p.z_mask, p.phase_exp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 63), max_size=10))
+def test_echelon_spans_the_vectors(vectors):
+    rows, deps = _echelon(vectors)
+    gens = [v for v, dep in zip(vectors, deps) if dep is None]
+    assert len(gens) == len(rows)
+    # each row's leading bit is clear in every later row
+    for i, (vec, _) in enumerate(rows):
+        top = 1 << vec.bit_length() - 1
+        assert all(not later & top for later, _ in rows[i + 1:])
+    for vec, dep in rows:
+        assert vec == _xor_of(gens, dep)
+    for v, dep in zip(vectors, deps):
+        assert _gf2_reduce(v, rows)[0] == 0
+        if dep is not None:
+            assert v == _xor_of(gens, dep)
+
+
+def _xor_of(vectors, mask: int) -> int:
+    out = 0
+    for k, v in enumerate(vectors):
+        if mask >> k & 1:
+            out ^= v
+    return out
 
 
 def test_dense_capacity_error():

@@ -23,11 +23,17 @@ from semionlab.anyons import (
     braid_phase,
     braid_phase_on_state,
     interferometry_run,
+    predicted_flips,
     qnd_unitary,
     vortex_map,
 )
-from semionlab.hamiltonian import build_spin_hamiltonian, spectrum
-from semionlab.lattice import BLACK, WHITE, build_layout
+from semionlab.hamiltonian import (
+    DiagonalOracle,
+    build_spin_hamiltonian,
+    ground_sector,
+    spectrum,
+)
+from semionlab.lattice import BLACK, DOWN, UP, WHITE, build_layout
 from semionlab.operators import link_zz_op, z_op
 from semionlab.pauli import (
     PauliString,
@@ -535,7 +541,60 @@ def test_overlap_across_spans_is_the_index_join():
     assert abs(overlap(v, u) - np.conj(want)) < 1e-12
 
 
+def _signed_draws(shape):
+    """Eight couplings from U(-2, 2)**3 and one with u = 0, seeded by
+    shape; one draw at 3x4."""
+    rng = np.random.default_rng(1000 + 10 * shape[0] + shape[1])
+    draws = [tuple(rng.uniform(-2.0, 2.0, 3)) for _ in range(8)]
+    draws.append((*rng.uniform(-2.0, 2.0, 2), 0.0))
+    return draws[:1] if shape == (3, 4) else draws
+
+
+class TestGroundSector:
+    """``project_ground`` moved by ``ground_sector``'s string is a ground
+    state at every coupling sign."""
+
+    @pytest.mark.parametrize("shape", [(1, 2), (1, 4), (2, 2), (2, 3),
+                                       (3, 2), (2, 4), (3, 3), (2, 5),
+                                       (3, 4)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_moved_state_is_a_ground_state(self, shape):
+        layout = build_layout(*shape)
+        plus = project_ground(layout)
+        for couplings in _signed_draws(shape):
+            ham = build_spin_hamiltonian(layout, *couplings)
+            move, energy, degeneracy = ground_sector(ham)
+            eig = spectrum(ham)
+            # bit for bit the spectrum's minimum and its 1e-8 count
+            assert energy == float(eig[0])
+            assert degeneracy == int(np.count_nonzero(eig <= eig[0] + 1e-8))
+            del eig
+            assert move.is_hermitian()
+            state = apply_pauli(plus, move)
+            e, variance = energy_moments(state, ham)
+            assert abs(e - energy) < 1e-10
+            if layout.square.n_sites <= 10:
+                oracle = DiagonalOracle(layout, *couplings)
+                assert abs(e - oracle.enumerate_energies().min()) < 1e-10
+            assert variance < 1e-10
+            for val in expectations(state, [op for _, op in ham.terms]):
+                assert abs(abs(val) - 1) < 1e-12 and abs(val.imag) < 1e-12
+            flips = predicted_flips(layout, move)
+            for k, (w, wt) in enumerate(vortex_map(state, layout).values):
+                assert abs(w - (-1) ** (k in flips[UP])) < 1e-12
+                assert abs(wt - (-1) ** (k in flips[DOWN])) < 1e-12
+
+    def test_positive_couplings_move_nothing(self):
+        move, _, _ = ground_sector(
+            build_spin_hamiltonian(build_layout(2, 3), 0.7, 1.3, 0.4))
+        assert (move.x_mask, move.z_mask, move.phase_exp) == (0, 0, 0)
+
+
 class TestStateVectorBasics:
+    def test_equality_is_identity(self):
+        a, b = basis_state(2), basis_state(2)
+        assert a == a and a != b
+        assert hash(a) != hash(b) and {a: 1}[a] == 1
     def test_cavity_major_indexing(self):
         st = basis_state(2, bits=3, cavity_dim=2, cavity_level=1)
         assert st.amplitudes[1 * 4 + 3] == 1.0

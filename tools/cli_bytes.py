@@ -54,9 +54,9 @@ README_CONFIGS = (
                  "beta": 0.05, "c_a": 25e-18, "c_b": 20e-18}, 0),
 )
 
-# (rows, cols, j_up, j_down, u).  `ground` projects every plaquette to +1
-# from basis index 0, the ground sector only when every coupling is
-# positive, so the first three exit 1; 4x4 exits 2 at the spectrum.
+# (rows, cols, j_up, j_down, u).  `ground` moves the all-+1 plaquette
+# state into the tableau's ground sector, so each exits 0 but 4x4, which
+# exits 2 at the tableau's size check.
 SIGNED_GROUND = (
     (2, 3, 1.0, 0.5, -1.0),
     (2, 3, -1.0, -0.5, 0.3),
