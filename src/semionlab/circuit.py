@@ -2,8 +2,8 @@
 
 Inputs are SI (farads, joules, kelvin, rad/s); energy outputs are
 dual-rendered in joules and GHz (division by the Planck constant).
-Physical constants are CODATA values taken from ``scipy.constants`` and
-fixed in one table below.
+Physical constants are the SI-defined exact values of e, h and k_B (SI
+2019), with hbar = h / (2 pi), fixed in one table below.
 
 Formulas implemented exactly for one capacitively coupled device pair:
 
@@ -36,17 +36,12 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 
-from scipy.constants import e as _E_CODATA
-from scipy.constants import h as _H_CODATA
-from scipy.constants import hbar as _HBAR_CODATA
-from scipy.constants import k as _KB_CODATA
-
 from .errors import DegenerateNetworkError
 
-ELEMENTARY_CHARGE = _E_CODATA
-PLANCK = _H_CODATA
-HBAR = _HBAR_CODATA
-BOLTZMANN = _KB_CODATA
+ELEMENTARY_CHARGE = 1.602176634e-19
+PLANCK = 6.62607015e-34
+HBAR = PLANCK / (2 * math.pi)
+BOLTZMANN = 1.380649e-23
 
 __all__ = [
     "DeviceParams",

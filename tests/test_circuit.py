@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.constants
 
 from semionlab.circuit import (
     BOLTZMANN,
     ELEMENTARY_CHARGE,
+    HBAR,
     PLANCK,
     DeviceNetwork,
     DeviceParams,
@@ -28,6 +30,18 @@ def identical_network(c_0=600 * ATTO, beta=0.05, e_j=1e-24, n_g=0.5,
                       c_a=0.0, c_b=0.0):
     return DeviceNetwork.identical(c_0 / 2, c_0 / 2, e_j, beta, n_g,
                                    c_a, c_b)
+
+
+def test_constants_are_the_si_defined_values():
+    # e, h and k_B are exact by the 2019 SI definition, so a typo in a
+    # literal is the only way these can fail
+    assert ELEMENTARY_CHARGE == 1.602176634e-19
+    assert PLANCK == 6.62607015e-34
+    assert BOLTZMANN == 1.380649e-23
+    assert HBAR == PLANCK / (2 * math.pi)
+    assert (ELEMENTARY_CHARGE, PLANCK, HBAR, BOLTZMANN) == (
+        scipy.constants.e, scipy.constants.h, scipy.constants.hbar,
+        scipy.constants.k)
 
 
 class TestPairCouplings:

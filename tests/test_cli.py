@@ -475,14 +475,27 @@ def test_console_entry_point(tmp_path):
     assert json.loads(proc.stdout)["counts"]["honeycomb_sites"] == 4
 
 
-def test_cli_import_leaves_out_the_eigensolver():
-    # every spectrum is exact from the stabilizer tableau; nothing in the
-    # package needs LAPACK's eigensolver, so the CLI must not load it
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, semionlab.cli; print('scipy.linalg' in sys.modules)"],
-        capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout == "False\n"
+def test_cli_import_leaves_out_the_eigensolver(tmp_path):
+    # every spectrum is exact from the stabilizer tableau and the circuit
+    # constants are SI-defined, so numpy is the only runtime dependency:
+    # neither an import nor a `circuit` or `qnd` run may load scipy
+    circuit = write_config(tmp_path, "circuit.json", {
+        "c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24, "beta": 0.05,
+        "c_a": 25e-18, "c_b": 20e-18})
+    qnd = write_config(tmp_path, "qnd.json",
+                       {"n_qubits": 10, "sites": [0, 2, 3, 7, 9]})
+    script = (
+        "import sys, semionlab.cli\n"
+        "codes = [semionlab.cli.main([cmd, '--config', cfg,"
+        " '--out', cfg + '.out']) for cmd, cfg in"
+        f" (('circuit', {circuit!r}), ('qnd', {qnd!r}))]\n"
+        "print(codes, sorted(m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "[0, 0] []\n", "")
 
 
 _FLOATS = st.one_of(

@@ -1,6 +1,7 @@
 """The repository tools under ``tools/`` that tests can run in-process."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -48,3 +49,30 @@ def test_code_lines_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n\n# note\ny = 2\n")
     assert _load("code_lines").main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "2 b.py\n9 pkg/a.py\n11 total\n"
+
+
+def _json(report):
+    return json.dumps(report, sort_keys=True, indent=2).encode()
+
+
+def test_cli_bytes_names_a_renamed_key_by_its_two_paths():
+    old = {"checks": {"all_plus": True, "degeneracy_match": True,
+                      "energy_is_minimum": True}, "energy": -1.5}
+    new = {"checks": {"degeneracy_match": True, "energy_is_minimum": True,
+                      "sector_match": True}, "energy": -1.5}
+    keys = _load("cli_bytes")._differing_keys("json", _json(old), _json(new))
+    assert keys == ["checks.all_plus", "checks.sector_match"]
+
+
+def test_cli_bytes_names_only_the_key_of_a_removed_csv_line():
+    old = b"key,value\na,1\nb,2\nc,3\n"
+    new = b"key,value\nb,2\nc,3\n"
+    assert _load("cli_bytes")._differing_keys("csv", old, new) == ["a"]
+
+
+def test_cli_bytes_names_only_the_path_of_one_changed_list_element():
+    # the last row gains an entry, which shifts every later leaf
+    old = {"levels": [[-1.0, 2], [1.0, 2]], "total": 4}
+    new = {"levels": [[-1.0, 2], [1.0, 2, 0]], "total": 4}
+    keys = _load("cli_bytes")._differing_keys("json", _json(old), _json(new))
+    assert keys == ["levels[][]"]

@@ -17,8 +17,9 @@ first on ``PYTHONPATH``) runs on a fixed set of configs, each once with
 For each run the exit code, stdout and stderr of the two trees are
 compared byte for byte.  A run that differs is printed with what
 differs: the exit codes, the report keys whose values differ (JSON paths
-with list positions folded to ``[]``, or the first cell of each CSV line
-that differs) and whether stderr differs.  The exit code is 1 if any run
+with list positions folded to ``[]``, compared as the list of values at
+each path, or CSV first cells, compared as the list of lines that start
+with each) and whether stderr differs.  The exit code is 1 if any run
 differs, else 0.  BLAS and OpenMP are pinned to one thread.
 """
 
@@ -143,21 +144,30 @@ def _leaves(obj, path: str = ""):
         yield path, obj
 
 
+def _grouped(pairs) -> dict:
+    """``{key: [value, ...]}`` of ``(key, value)`` pairs, in order."""
+    groups = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return groups
+
+
 def _differing_keys(fmt: str, a: bytes, b: bytes) -> list[str]:
-    """The report keys whose values differ between two stdouts."""
+    """The report keys whose values differ between two stdouts: the JSON
+    paths whose lists of values differ, or the first cells whose lists of
+    CSV lines differ, so a change at one key names that key alone."""
     if fmt == "json":
         try:
-            left = list(_leaves(json.loads(a)))
-            right = list(_leaves(json.loads(b)))
+            left, right = (_grouped(_leaves(json.loads(out)))
+                           for out in (a, b))
         except ValueError:
             return ["(not JSON)"]
-        pairs = itertools.zip_longest(left, right, fillvalue=("", None))
-        keys = [p or q for (p, x), (q, y) in pairs if p != q or x != y]
     else:
-        pairs = itertools.zip_longest(a.decode().splitlines(),
-                                      b.decode().splitlines(), fillvalue="")
-        keys = [(x or y).split(",")[0] for x, y in pairs if x != y]
-    return sorted(set(keys))
+        left, right = (_grouped((line.split(",")[0], line)
+                                for line in out.decode().splitlines())
+                       for out in (a, b))
+    return sorted(key for key in left.keys() | right.keys()
+                  if left.get(key) != right.get(key))
 
 
 def main() -> int:
