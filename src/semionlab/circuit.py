@@ -7,9 +7,9 @@ Physical constants are the SI-defined exact values of e, h and k_B (SI
 
 Formulas implemented exactly for one capacitively coupled device pair:
 
-    C_0 = C_g + C_J          C_t = C_0 + C_c
-    Lambda = C_t^a C_t^b - C_c^2
-    eps_a = 2 e^2 (C_t^b + C_c) / Lambda     (and a<->b)
+    C_0 = C_g + C_J
+    Lambda = C_0^a C_0^b + C_c (C_0^a + C_0^b)
+    eps_a = 2 e^2 (C_0^b + 2 C_c) / Lambda     (and a<->b)
     delta_eta = E_J^eta
     lambda_pair = e^2 C_c / Lambda
     E_c = e^2 / (2 C_0)      beta = C_c / C_0
@@ -17,6 +17,9 @@ Formulas implemented exactly for one capacitively coupled device pair:
 For identical devices these give ``eps = 4 E_c`` exactly and the
 identity ``lambda_pair * (1 + 2 beta) = 2 beta E_c``, i.e. the popular
 ``2 beta E_c`` shorthand is accurate only to first order in beta.
+``Lambda`` is ``(C_0^a + C_c)(C_0^b + C_c) - C_c^2``, the determinant of
+the two-node capacitance matrix, written with no subtraction: it keeps
+its digits at any beta, so no coupling strength is refused.
 
 Chain couplings are first order in beta.  The printed forms carry a
 dimensional slip (an energy cannot scale as e^2 C / C), so the
@@ -33,7 +36,6 @@ Diagnostics never alter computed values; they only report.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 
 from .errors import DegenerateNetworkError
@@ -77,24 +79,23 @@ class DeviceParams:
         return self.c_g + self.c_j
 
 
-def capacitance_determinant(c_t_a: float, c_t_b: float, c_c: float) -> float:
-    """``C_t^a C_t^b - C_c^2``, rejected when not positive or ill-conditioned.
+def capacitance_determinant(c_0_a: float, c_0_b: float, c_c: float) -> float:
+    """``C_0^a C_0^b + C_c (C_0^a + C_0^b)``, refused unless positive.
 
-    With ``C_t = C_0 + C_c`` and positive device capacitances the
-    determinant is always positive; the sign guard protects direct uses
-    with raw totals.  The subtraction cancels as ``C_c`` outgrows ``C_0``;
-    a network whose rounding error ``eps (C_t^a C_t^b + C_c^2)`` exceeds
-    1e-12 of the determinant (``beta`` of some thousands) is refused, as
-    its couplings would miss the identities they are checked to.
+    This is ``(C_0^a + C_c)(C_0^b + C_c) - C_c^2`` with the ``C_c^2``
+    terms cancelled exactly, so for positive capacitances it is a sum of
+    positive products: it keeps its digits at any beta and no coupling
+    strength is refused.  It is not positive only when a product
+    underflows or a raw input is not physical
+    (``DegenerateNetworkError``); an infinite value raises
+    ``OverflowError``.
     """
-    det = c_t_a * c_t_b - c_c ** 2
-    if det <= 0:
+    det = c_0_a * c_0_b + c_c * (c_0_a + c_0_b)
+    if math.isinf(det):
+        raise OverflowError(f"capacitance determinant {det} is not finite")
+    if not det > 0:
         raise DegenerateNetworkError(
             f"capacitance determinant {det} is not positive")
-    if sys.float_info.epsilon * (c_t_a * c_t_b + c_c ** 2) > 1e-12 * det:
-        raise DegenerateNetworkError(
-            f"capacitance determinant {det} is ill-conditioned: its "
-            "rounding error exceeds 1e-12 of it")
     return det
 
 
@@ -111,19 +112,12 @@ class DeviceNetwork:
     def __post_init__(self):
         if self.c_c < 0 or self.c_a < 0 or self.c_b < 0:
             raise ValueError("coupling capacitances cannot be negative")
-        capacitance_determinant(self.c_t_a, self.c_t_b, self.c_c)
-
-    @property
-    def c_t_a(self) -> float:
-        return self.device_a.c_0 + self.c_c
-
-    @property
-    def c_t_b(self) -> float:
-        return self.device_b.c_0 + self.c_c
+        self.lam_det  # refuses a degenerate or overflowing network
 
     @property
     def lam_det(self) -> float:
-        return capacitance_determinant(self.c_t_a, self.c_t_b, self.c_c)
+        return capacitance_determinant(self.device_a.c_0, self.device_b.c_0,
+                                       self.c_c)
 
     @property
     def is_identical(self) -> bool:
@@ -209,10 +203,11 @@ def two_device_couplings(net: DeviceNetwork,
     from the lattice mapping (they are assumed nulled by bias tuning).
     """
     lam_det = net.lam_det
+    c_0_a, c_0_b, c_c = net.device_a.c_0, net.device_b.c_0, net.c_c
     e2 = charge ** 2
-    eps_a = 2 * e2 * (net.c_t_b + net.c_c) / lam_det
-    eps_b = 2 * e2 * (net.c_t_a + net.c_c) / lam_det
-    lam = e2 * net.c_c / lam_det
+    eps_a = 2 * e2 * ((c_0_b + c_c) + c_c) / lam_det
+    eps_b = 2 * e2 * ((c_0_a + c_c) + c_c) / lam_det
+    lam = e2 * c_c / lam_det
     sz_a = -0.5 * eps_a * (1 - 2 * net.device_a.n_g)
     sz_b = -0.5 * eps_b * (1 - 2 * net.device_b.n_g)
     return EffectiveCouplings(

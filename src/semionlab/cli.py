@@ -306,6 +306,9 @@ def run_qnd(cfg: dict, args) -> tuple[dict, bool]:
     }, ok
 
 
+_FREQUENCY_KEYS = {"omega_c", "delta", "g"}
+
+
 def run_circuit(cfg: dict, args) -> tuple[dict, bool]:
     dev = DeviceParams(float(cfg["c_g"]), float(cfg["c_j"]),
                        float(cfg["e_j"]), float(cfg.get("n_g", 0.5)))
@@ -323,7 +326,11 @@ def run_circuit(cfg: dict, args) -> tuple[dict, bool]:
     beta = couplings.beta_a
     if beta > 0:
         report["long_range"] = long_range_warning(beta)
-    if "omega_c" in cfg and "delta" in cfg and "g" in cfg:
+    missing = _FREQUENCY_KEYS - cfg.keys()
+    if missing != _FREQUENCY_KEYS or "temperature" in cfg:
+        if missing:
+            raise ConfigError(f"missing config keys: {sorted(missing)} "
+                              "(frequencies need omega_c, delta and g)")
         report["frequencies"] = qnd_frequencies(
             couplings.e_c_a, dev.n_g, float(cfg["omega_c"]),
             float(cfg["delta"]), float(cfg["g"]),

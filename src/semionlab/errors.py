@@ -52,7 +52,7 @@ class ZeroProjectionError(SemionLabError):
 
 
 class DegenerateNetworkError(SemionLabError):
-    """Capacitance network determinant is non-positive or ill-conditioned."""
+    """Capacitance network determinant is not positive."""
 
 
 class ConfigError(SemionLabError):

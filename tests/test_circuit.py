@@ -1,10 +1,14 @@
 """Circuit compiler: exact formulas, limits, scaling audits, diagnostics."""
 
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.constants
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semionlab.circuit import (
     BOLTZMANN,
@@ -94,24 +98,46 @@ class TestPairCouplings:
         assert at_degeneracy.single_device_z == (0.0, 0.0)
 
     def test_degenerate_determinant_rejected(self):
-        # impossible through the constructor (C_t = C_0 + C_c keeps the
-        # determinant positive); the guard covers raw-total uses
-        with pytest.raises(DegenerateNetworkError):
-            capacitance_determinant(1 * ATTO, 1 * ATTO, 2 * ATTO)
+        # impossible through the constructor for capacitances whose
+        # products stay normal; the guard covers a negative raw C_0 and
+        # devices so small that C_0^2 underflows to zero
+        with pytest.raises(DegenerateNetworkError, match="not positive"):
+            capacitance_determinant(-1 * ATTO, 1 * ATTO, 0.0)
+        tiny = DeviceParams(1e-170, 1e-170, 1e-24)
+        with pytest.raises(DegenerateNetworkError, match="0.0 is not pos"):
+            DeviceNetwork(tiny, tiny, 0.0)
         with pytest.raises(ValueError):
             DeviceNetwork(DeviceParams(ATTO, ATTO, 1e-24),
                           DeviceParams(ATTO, ATTO, 1e-24), -1 * ATTO)
 
-    def test_ill_conditioned_determinant_rejected(self):
-        # strong coupling is valid while the determinant keeps its digits,
-        # and there the exact identity still holds to 1e-12
-        for beta in (1.0, 1.5, 10.0, 1000.0):
+    def test_overflowing_determinant_raises(self):
+        with pytest.raises(OverflowError):
+            capacitance_determinant(1e200, 1e200, 0.0)
+        huge = DeviceParams(1e300, 1e300, 1e-24)
+        with pytest.raises(OverflowError):
+            DeviceNetwork(huge, huge, 0.05 * huge.c_0)
+
+    def test_identity_holds_at_any_coupling_strength(self):
+        # the determinant has no subtraction, so no beta loses digits:
+        # strong coupling keeps the exact identity to 1e-12
+        for beta in (1.0, 1.5, 10.0, 1000.0, 1e5, 5e5, 1e6, 1e9):
             c = two_device_couplings(identical_network(beta=beta))
             assert c.lam_pair * (1 + 2 * beta) == \
                 pytest.approx(2 * beta * c.e_c_a, rel=1e-12)
-        for beta in (1e5, 5e5):
-            with pytest.raises(DegenerateNetworkError, match="ill-cond"):
-                identical_network(beta=beta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(log_c_0=st.tuples(st.floats(-19, -15), st.floats(-19, -15)),
+           log_beta=st.floats(-3, 9))
+    def test_determinant_within_two_eps_of_exact(self, log_c_0, log_beta):
+        # unequal devices against exact rational arithmetic of the
+        # textbook form (C_0^a + C_c)(C_0^b + C_c) - C_c^2
+        dev_a, dev_b = (DeviceParams(10 ** x / 2, 10 ** x / 2, 1e-24)
+                        for x in log_c_0)
+        net = DeviceNetwork(dev_a, dev_b, 10 ** log_beta * dev_a.c_0)
+        c_0_a, c_0_b, c_c = map(Fraction, (dev_a.c_0, dev_b.c_0, net.c_c))
+        exact = (c_0_a + c_c) * (c_0_b + c_c) - c_c ** 2
+        assert abs(Fraction(net.lam_det) / exact - 1) <= \
+            2 * sys.float_info.epsilon
 
     def test_invalid_device_params(self):
         with pytest.raises(ValueError):

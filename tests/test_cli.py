@@ -274,6 +274,29 @@ class TestBraid:
         assert report["state_phase"][0] == pytest.approx(-1.0, abs=1e-10)
         assert report["agree"] is True
 
+    @pytest.mark.parametrize("family", ["x", "z"])
+    @pytest.mark.parametrize("crossing,shared", [
+        ([[0, "black"]], 1),
+        ([[0, "black"], [1, "white"]], 2),
+    ])
+    def test_y_loop_phase_counts_shared_sites(self, tmp_path, capsys,
+                                              family, crossing, shared):
+        # Y anticommutes with X and with Z on each shared site
+        cfg = write_config(tmp_path, "b.json", {
+            "rows": 2, "cols": 3,
+            "loop": {"family": "y", "sites": [[0, "black"], [0, "white"],
+                                              [1, "black"], [1, "white"]]},
+            "crossing": {"family": family, "sites": crossing},
+            "state_check": True,
+        })
+        code, out, _ = run(["braid", "--config", cfg], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["loop_family"] == "y"
+        assert report["shared_sites"] == shared
+        assert report["operator_phase"] == (-1.0) ** shared
+        assert report["agree"] is True
+
     def test_null_string_plus_one(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "b.json", {
             "rows": 1, "cols": 2,
@@ -378,11 +401,38 @@ class TestCircuit:
         assert json.loads(out)["lambda_pair_J"] == 0.0
 
     def test_degenerate_network_error(self, tmp_path, capsys):
+        # C_0^2 of 2e-170 F devices underflows to a zero determinant
+        cfg = write_config(tmp_path, "c.json",
+                           {"c_g": 1e-170, "c_j": 1e-170, "e_j": 1e-24})
+        code, out, err = run(["circuit", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: capacitance determinant 0.0 is not positive\n"
+
+    def test_very_strong_coupling_keeps_the_identity(self, tmp_path, capsys):
+        # beta = 5e5: the determinant keeps its digits at any coupling
         cfg = write_config(tmp_path, "c.json",
                            {"c_g": 1e-18, "c_j": 1e-18, "e_j": 1e-24,
                             "c_c": 1e-12})
-        code, _, err = run(["circuit", "--config", cfg], capsys)
-        assert code == 2 and "error" in err
+        code, out, err = run(["circuit", "--config", cfg], capsys)
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        beta = report["beta_a"]
+        assert beta == pytest.approx(5e5)
+        assert report["lambda_pair_J"] * (1 + 2 * beta) == \
+            pytest.approx(2 * beta * report["E_c_a_J"], rel=1e-12)
+
+    @pytest.mark.parametrize("extra,missing", [
+        ({"omega_c": 3e10, "delta": 1e9}, "['g']"),
+        ({"temperature": 0.02}, "['delta', 'g', 'omega_c']"),
+    ])
+    def test_partial_frequency_keys_exit_2(self, tmp_path, capsys, extra,
+                                           missing):
+        # omega_c, delta and g go together, and temperature needs them
+        cfg = write_config(tmp_path, "c.json", {**_CIRCUIT, **extra})
+        code, out, err = run(["circuit", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: missing config keys: {missing} "
+                       "(frequencies need omega_c, delta and g)\n")
 
     def test_zero_coupling_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {

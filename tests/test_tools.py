@@ -76,3 +76,29 @@ def test_cli_bytes_names_only_the_path_of_one_changed_list_element():
     new = {"levels": [[-1.0, 2], [1.0, 2, 0]], "total": 4}
     keys = _load("cli_bytes")._differing_keys("json", _json(old), _json(new))
     assert keys == ["levels[][]"]
+
+
+def test_cli_bytes_reports_a_one_ulp_move():
+    old = {"lambda_pair_J": 1.0, "notes": ["a"]}
+    new = {"lambda_pair_J": 1.0000000000000002, "notes": ["a"]}
+    tool = _load("cli_bytes")
+    change = tool._largest_change("json", _json(old), _json(new))
+    assert abs(change - 2.2e-16) < 1e-17
+    assert tool._largest_change(
+        "csv", b"key,value\nx,1.0\nflag,True\n",
+        b"key,value\nx,1.0000000000000002\nflag,True\n") == change
+
+
+def test_cli_bytes_prints_no_change_for_equal_numbers():
+    report = _json({"energy": -1.5, "levels": [[-1.0, 2], [1.0, 2]]})
+    tool = _load("cli_bytes")
+    assert tool._largest_change("json", report, report) is None
+    assert tool._largest_change("csv", b"key,value\na,1\n",
+                                b"key,value\na,1\n") is None
+
+
+def test_cli_bytes_prints_no_change_for_a_renamed_key():
+    old = {"checks": {"all_plus": True}, "energy": -1.5, "gap": 2.0}
+    new = {"checks": {"sector_match": True}, "energy": -1.5, "gap_J": 2.5}
+    assert _load("cli_bytes")._largest_change("json", _json(old),
+                                              _json(new)) is None

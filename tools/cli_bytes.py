@@ -12,15 +12,20 @@ first on ``PYTHONPATH``) runs on a fixed set of configs, each once with
   built by PARENT's ``perfbench/plans.py`` (nothing else of
   ``perfbench`` is read), each run with the seed the benchmark gives it;
 - the example config of each command in the README;
-- a fixed list of ``ground`` configs with signed couplings.
+- a fixed list of ``ground`` configs with signed couplings;
+- a fixed list of ``circuit`` edge configs: very strong coupling, a
+  determinant that underflows, and a partial set of frequency keys.
 
 For each run the exit code, stdout and stderr of the two trees are
 compared byte for byte.  A run that differs is printed with what
 differs: the exit codes, the report keys whose values differ (JSON paths
 with list positions folded to ``[]``, compared as the list of values at
 each path, or CSV first cells, compared as the list of lines that start
-with each) and whether stderr differs.  The exit code is 1 if any run
-differs, else 0.  BLAS and OpenMP are pinned to one thread.
+with each), the largest relative change of a number that sits at the
+same place on both sides (the same JSON path, or the same cell of the
+lines under the same CSV first cell), when one moved, and whether stderr
+differs.  The exit code is 1 if any run differs, else 0.  BLAS and
+OpenMP are pinned to one thread.
 """
 
 from __future__ import annotations
@@ -71,6 +76,19 @@ SIGNED_GROUND = (
     (4, 4, 0.7, 1.3, 0.4),
 )
 
+# (label, config): the old ill-conditioned refusal (beta 5e5), beta 1e5
+# with the frequency keys, 2e-170 F devices whose determinant underflows
+# to zero, and frequency keys without g.
+CIRCUIT_EDGES = (
+    ("beta-5e5", {"c_g": 1e-18, "c_j": 1e-18, "e_j": 1e-24, "c_c": 1e-12}),
+    ("beta-1e5", {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24, "beta": 1e5,
+                  "omega_c": 3e10, "delta": 1e9, "g": 1e8,
+                  "temperature": 0.02}),
+    ("underflow", {"c_g": 1e-170, "c_j": 1e-170, "e_j": 1e-24}),
+    ("partial-frequencies", {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24,
+                             "beta": 0.05, "omega_c": 3e10, "delta": 1e9}),
+)
+
 
 def _plan_runs(parent: Path) -> list[tuple[str, str, dict, int]]:
     """``(label, command, config, seed)`` of every benchmark plan config."""
@@ -100,6 +118,8 @@ def _all_runs(parent: Path) -> list[tuple[str, str, dict, int]]:
               {"rows": r, "cols": c, "j_up": j_up, "j_down": j_down,
                "u": u}, 0)
              for r, c, j_up, j_down, u in SIGNED_GROUND]
+    runs += [(f"edge:circuit:{label}", "circuit", cfg, 0)
+             for label, cfg in CIRCUIT_EDGES]
     return runs
 
 
@@ -152,22 +172,64 @@ def _grouped(pairs) -> dict:
     return groups
 
 
+def _groups(fmt: str, out: bytes) -> dict:
+    """``{key: [value, ...]}`` of one stdout: the values at each JSON
+    path, or the lines, split into cells, under each CSV first cell."""
+    if fmt == "json":
+        return _grouped(_leaves(json.loads(out)))
+    return _grouped((cells[0], cells) for cells in
+                    (tuple(line.split(",")) for line in
+                     out.decode().splitlines()))
+
+
 def _differing_keys(fmt: str, a: bytes, b: bytes) -> list[str]:
     """The report keys whose values differ between two stdouts: the JSON
     paths whose lists of values differ, or the first cells whose lists of
     CSV lines differ, so a change at one key names that key alone."""
-    if fmt == "json":
-        try:
-            left, right = (_grouped(_leaves(json.loads(out)))
-                           for out in (a, b))
-        except ValueError:
-            return ["(not JSON)"]
-    else:
-        left, right = (_grouped((line.split(",")[0], line)
-                                for line in out.decode().splitlines())
-                       for out in (a, b))
+    try:
+        left, right = _groups(fmt, a), _groups(fmt, b)
+    except ValueError:
+        return ["(not JSON)"]
     return sorted(key for key in left.keys() | right.keys()
                   if left.get(key) != right.get(key))
+
+
+def _relative_change(old, new) -> float:
+    """``|new - old| / max(|old|, |new|)`` of two numbers (JSON numbers
+    or numeric CSV cells), else 0.  A report holds no NaN or infinity."""
+    if isinstance(old, bool) or isinstance(new, bool):
+        return 0.0
+    try:
+        old, new = float(old), float(new)
+    except (TypeError, ValueError):
+        return 0.0
+    return abs(new - old) / max(abs(old), abs(new)) if old != new else 0.0
+
+
+def _cells(old, new):
+    """The same-place pairs of two grouped values: two CSV lines pair
+    cell by cell when they have as many cells, two JSON leaves pair as
+    they are."""
+    if not isinstance(old, tuple):
+        return [(old, new)]
+    return zip(old, new) if len(old) == len(new) else []
+
+
+def _largest_change(fmt: str, a: bytes, b: bytes) -> float | None:
+    """The largest relative change over the numbers that sit at the same
+    place in both stdouts, or ``None`` if none of them moved.  A key's
+    values pair up only where both sides hold as many, and a CSV line's
+    cells only where both lines have as many."""
+    try:
+        left, right = _groups(fmt, a), _groups(fmt, b)
+    except ValueError:
+        return None
+    changes = [_relative_change(*cell)
+               for key in left.keys() & right.keys()
+               if len(left[key]) == len(right[key])
+               for old, new in zip(left[key], right[key])
+               for cell in _cells(old, new)]
+    return max(changes, default=0.0) or None
 
 
 def main() -> int:
@@ -196,10 +258,13 @@ def main() -> int:
                     continue
                 differ += 1
                 keys = _differing_keys(fmt, old.stdout, new.stdout)
+                change = _largest_change(fmt, old.stdout, new.stdout)
+                moved = "" if change is None else \
+                    f" (largest relative change {change:.2g})"
                 stderr = "differs" if old.stderr != new.stderr else "same"
                 print(f"DIFF {label} --format {fmt}: exit "
                       f"{old.returncode} -> {new.returncode}; stdout keys "
-                      f"{keys}; stderr {stderr}")
+                      f"{keys}{moved}; stderr {stderr}")
     total = len(runs) * len(FORMATS)
     print(f"{total} runs ({len(runs)} configs x {len(FORMATS)} formats), "
           f"{differ} differ")
