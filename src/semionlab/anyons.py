@@ -67,13 +67,20 @@ __all__ = [
 
 # -- string specifications -------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StringSpec:
     """A compiled excitation string with its family tag and site set."""
 
     family: str
     sites: tuple[int, ...]
     operator: PauliString
+
+    def __init__(self, family: str, sites: tuple[int, ...],
+                 operator: PauliString):
+        # through the slot descriptors, as PauliString does
+        _set_family(self, family)
+        _set_sites(self, sites)
+        _set_operator(self, operator)
 
     @staticmethod
     def _letters(layout: HoneycombLayout, sites, letter: str, family: str):
@@ -108,6 +115,11 @@ class StringSpec:
         """Occupation-changing string at one site (compiles to a single X)."""
         op = x_string_op(layout, square_site, color)
         return StringSpec("x", op.sites(), op)
+
+
+_set_family = StringSpec.family.__set__
+_set_sites = StringSpec.sites.__set__
+_set_operator = StringSpec.operator.__set__
 
 
 # -- vortex bookkeeping ----------------------------------------------
@@ -226,7 +238,7 @@ def braid_phase_on_state(loop: StringSpec, crossing: StringSpec,
     return overlap(unbraided, braided)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class FusionResult:
     """The fusion channel of two strings (:func:`fuse_check`).
 
@@ -243,6 +255,17 @@ class FusionResult:
     is_vacuum: bool
     flip_masks: tuple[tuple[int, int], ...] = field(repr=False)
 
+    def __init__(self, same_family: bool, shared_sites: tuple[int, ...],
+                 residual: PauliString, residual_is_identity: bool,
+                 is_vacuum: bool, flip_masks: tuple[tuple[int, int], ...]):
+        # through the slot descriptors, as PauliString does
+        _set_same_family(self, same_family)
+        _set_shared_sites(self, shared_sites)
+        _set_residual(self, residual)
+        _set_residual_is_identity(self, residual_is_identity)
+        _set_is_vacuum(self, is_vacuum)
+        _set_flip_masks(self, flip_masks)
+
     @property
     def flips_first(self) -> dict:
         return _flip_dict(self.flip_masks[0])
@@ -254,6 +277,14 @@ class FusionResult:
     @property
     def flips_composite(self) -> dict:
         return _flip_dict(self.flip_masks[2])
+
+
+_set_same_family = FusionResult.same_family.__set__
+_set_shared_sites = FusionResult.shared_sites.__set__
+_set_residual = FusionResult.residual.__set__
+_set_residual_is_identity = FusionResult.residual_is_identity.__set__
+_set_is_vacuum = FusionResult.is_vacuum.__set__
+_set_flip_masks = FusionResult.flip_masks.__set__
 
 
 def fuse_check(layout: HoneycombLayout, s1: StringSpec,

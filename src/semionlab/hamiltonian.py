@@ -273,6 +273,9 @@ def dense_matrix(ham: HamiltonianTerms) -> np.ndarray:
     return mat
 
 
+_SIGNS = np.array([1.0, -1.0])
+
+
 def _levels(ham: HamiltonianTerms) -> tuple[list[tuple[int, int]],
                                             np.ndarray]:
     """The tableau of a commuting term list: the echelon rows of its
@@ -299,7 +302,9 @@ def _levels(ham: HamiltonianTerms) -> tuple[list[tuple[int, int]],
                          "diagonalize dense_matrix(ham) instead")
     rows, deps = _echelon(op.x_mask << n | op.z_mask for _, op in ham.terms)
     gens: list[PauliString] = []
-    levels = np.zeros(1 << len(rows))
+    # commuting terms span at most n dimensions, so a pattern fits 32 bits
+    patterns = np.arange(1 << len(rows), dtype=np.uint32)
+    levels = np.zeros(patterns.size)
     for (coeff, op), dep in zip(ham.terms, deps):
         if dep is None:
             dep = 1 << len(gens)
@@ -307,7 +312,9 @@ def _levels(ham: HamiltonianTerms) -> tuple[list[tuple[int, int]],
         elif multiply_all([op, *(g for k, g in enumerate(gens)
                                  if dep >> k & 1)]).phase_exp == 2:
             coeff = -coeff  # the product is -I
-        levels += coeff * _z_signs(dep, len(rows))
+        # coeff times +-1.0 by the parity of the pattern on dep
+        levels += (coeff * _SIGNS).take(
+            np.bitwise_count(patterns & np.uint32(dep)) & 1)
     return rows, levels
 
 

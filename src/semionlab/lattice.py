@@ -70,7 +70,7 @@ class HoneycombSite:
     xpos: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BondPlaquette:
     """The plaquette owned by one diagonal bond.
 
@@ -91,6 +91,19 @@ class BondPlaquette:
     up: PauliString = field(repr=False)
     down: PauliString = field(repr=False)
 
+    def __init__(self, index: int, site_i: int, site_j: int, row: int,
+                 col: int, labels: tuple[int | None, ...], up: PauliString,
+                 down: PauliString):
+        # through the slot descriptors, as PauliString does
+        _set_index(self, index)
+        _set_site_i(self, site_i)
+        _set_site_j(self, site_j)
+        _set_row(self, row)
+        _set_col(self, col)
+        _set_labels(self, labels)
+        _set_up(self, up)
+        _set_down(self, down)
+
     @property
     def sites(self) -> tuple[int, ...]:
         return tuple(r for r in self.labels if r is not None)
@@ -98,6 +111,16 @@ class BondPlaquette:
     @property
     def is_complete(self) -> bool:
         return None not in self.labels
+
+
+_set_index = BondPlaquette.index.__set__
+_set_site_i = BondPlaquette.site_i.__set__
+_set_site_j = BondPlaquette.site_j.__set__
+_set_row = BondPlaquette.row.__set__
+_set_col = BondPlaquette.col.__set__
+_set_labels = BondPlaquette.labels.__set__
+_set_up = BondPlaquette.up.__set__
+_set_down = BondPlaquette.down.__set__
 
 
 class SquareLattice:

@@ -50,7 +50,7 @@ _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PauliString:
     """A phase-exact Pauli operator on ``n_sites`` qubits.
 
@@ -66,6 +66,10 @@ class PauliString:
         Optional representation tag (for example ``"honeycomb_spin"`` or
         ``"device"``).  Mixing two different tags in algebra raises
         :class:`RepresentationError`; an untagged operand mixes freely.
+
+    The constructor checks the register and the masks, reduces the phase
+    mod 4 and stores each field through its slot descriptor, not through
+    ``object.__setattr__``: a layout builds hundreds of these.
     """
 
     n_sites: int
@@ -74,15 +78,20 @@ class PauliString:
     phase_exp: int = 0
     rep: str | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        if self.n_sites <= 0:
+    def __init__(self, n_sites: int, x_mask: int = 0, z_mask: int = 0,
+                 phase_exp: int = 0, rep: str | None = None):
+        if n_sites <= 0:
             raise DimensionMismatchError("n_sites must be positive")
-        limit = 1 << self.n_sites
-        if not (0 <= self.x_mask < limit and 0 <= self.z_mask < limit):
+        limit = 1 << n_sites
+        if not (0 <= x_mask < limit and 0 <= z_mask < limit):
             raise DimensionMismatchError(
-                f"mask out of range for {self.n_sites} sites"
+                f"mask out of range for {n_sites} sites"
             )
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+        _set_n_sites(self, n_sites)
+        _set_x_mask(self, x_mask)
+        _set_z_mask(self, z_mask)
+        _set_phase_exp(self, phase_exp % 4)
+        _set_rep(self, rep)
 
     # -- constructors ------------------------------------------------
 
@@ -189,6 +198,14 @@ class PauliString:
             mat = np.kron(mat, _SITE_MATS[(self.x_mask >> j & 1,
                                            self.z_mask >> j & 1)])
         return (1j ** self.phase_exp) * mat
+
+
+# the slot setters, which a frozen instance's __setattr__ never reaches
+_set_n_sites = PauliString.n_sites.__set__
+_set_x_mask = PauliString.x_mask.__set__
+_set_z_mask = PauliString.z_mask.__set__
+_set_phase_exp = PauliString.phase_exp.__set__
+_set_rep = PauliString.rep.__set__
 
 
 def _site_mask(sites, n_sites: int) -> int:

@@ -318,7 +318,6 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
     phase is fixed by :meth:`StateVector.with_fixed_phase`.  The tests
     keep the full-register projection loop as the reference.
     """
-    _check_register(layout.n_sites, cavity_dim)
     steps = [(plq, family, op) for plq in layout.bond_plaquettes
              for family, op in ((UP, plq.up), (DOWN, plq.down))]
     # dep bit k is the k-th x-mask that doubled the coset, and idx[c] is
@@ -328,6 +327,8 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
     what = f"ground-state support of 2**{len(rows)} entries"
     _require_capacity(cavity_dim << len(rows),
                       what if cavity_dim == 1 else f"{cavity_dim} x {what}")
+    # after the budget, so an oversized support is named as such
+    _check_register(layout.n_sites, cavity_dim)
     idx = np.zeros(1, dtype=np.int64)
     vals = np.ones(1, dtype=complex)
     for (plq, family, op), dep in zip(steps, deps):
@@ -343,8 +344,10 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
                     "annihilated the state")
     ground = _on_support(layout.n_sites, 1, idx, vals, rows).normalized()
     values = ground.with_fixed_phase().values
-    return _on_support(layout.n_sites, cavity_dim, idx,
-                       np.pad(values, (0, (cavity_dim - 1) * idx.size)), rows)
+    if cavity_dim > 1:
+        values = np.concatenate(
+            (values, np.zeros((cavity_dim - 1) * idx.size, dtype=complex)))
+    return _on_support(layout.n_sites, cavity_dim, idx, values, rows)
 
 
 def energy_moments(state: StateVector, ham: HamiltonianTerms) -> tuple[float, float]:

@@ -1,6 +1,8 @@
 """Batch front-end: schema validation, verdicts, deterministic output."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -548,6 +551,22 @@ def test_cli_import_leaves_out_the_eigensolver(tmp_path):
         (0, "[0, 0] []\n", "")
 
 
+def test_cli_run_leaves_out_argparse(tmp_path):
+    # the front end reads argv by hand; argparse costs a small run a
+    # quarter of its time
+    cfg = write_config(tmp_path, "lat.json", {"rows": 1, "cols": 2})
+    script = (
+        "import sys, semionlab.cli\n"
+        f"code = semionlab.cli.main(['lattice', '--config', {cfg!r},"
+        f" '--out', {cfg + '.out'!r}])\n"
+        "print(code, 'argparse' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC})
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (0, "0 False\n", "")
+
+
 _FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                      1e308, -1e308, 1.7976931348623157e308, 0.1, -2.5]),
@@ -755,20 +774,153 @@ class TestNonFiniteResults:
         assert proc.stderr.count("\n") == 1
 
 
+def _reference_parser() -> argparse.ArgumentParser:
+    """The argparse grammar the CLI front end keeps, built as it once was."""
+    parser = argparse.ArgumentParser(
+        prog="semionlab",
+        description="anyon lattice model and circuit parameter toolbox")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("lattice", "spectrum", "ground", "braid", "qnd", "circuit"):
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", default=None)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        p.add_argument("--seed", type=int, default=0)
+    return parser
+
+
+_REFERENCE = _reference_parser()
+
+
+class _Parsed(Exception):
+    """Carries the options a patched runner received out of ``main``."""
+
+
+def _front_end(argv, reference=False):
+    """``(exit code, options, stdout, stderr)`` of one argv: the code is
+    ``None`` and the options a dict when the argv parses.
+
+    ``main`` runs with every runner replaced by one that raises the
+    options it gets, and no config is read; ``reference=True`` parses
+    with ``_REFERENCE`` instead.  Help text is wrapped at 80 columns."""
+    import semionlab.cli as cli
+
+    def record(cfg, args):
+        raise _Parsed(vars(args))
+
+    out, err = io.StringIO(), io.StringIO()
+    code = options = None
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            mock.patch.object(cli, "_load_config", lambda path, cmd: {}), \
+            mock.patch.dict(cli._RUNNERS, dict.fromkeys(cli._RUNNERS,
+                                                        record)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            if reference:
+                options = vars(_REFERENCE.parse_args(argv))
+            else:
+                main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except _Parsed as exc:
+            options = exc.args[0]
+    return code, options, out.getvalue(), err.getvalue()
+
+
+# tokens of each kind argparse told apart: commands, values, negative
+# numbers, flags in full, by prefix, with "=", unknown, "-h" clusters,
+# "--" and ambiguous ones.  An "=" value of exactly "--" is left out:
+# argparse turned it into an empty list (so `--config=--` crashed), where
+# the front end takes it as the text "--".
+_ARGV_TOKENS = [
+    "lattice", "qnd", "circuit", "nosuch", "", "x", "a b", "-", "--",
+    "-1", "-.5", "-1x", "-x", "-x y", "-h", "-hh", "-hx", "-h=", "-h=h",
+    "-hh=x", "--h", "--help", "--help=x", "--version", "--v", "--ver=1",
+    "--=x", "--config", "--conf", "--c", "--config=a", "--c=a=b",
+    "--config=", "--c b", "--out", "--o=x", "--format", "--f", "json",
+    "csv", "xml", "--format=csv", "--seed", "--s", "--seed=3", "3", " 7 ",
+    "1.5", "--seed=-2", "--nosuch", "--nosuch=1", "---", "--seed=1_0",
+]
+
+
 class TestParser:
-    def test_parser_built_once(self, tmp_path, capsys, monkeypatch):
-        built = []
-        init = argparse.ArgumentParser.__init__
+    @settings(max_examples=1500, deadline=None)
+    @given(st.lists(st.sampled_from(_ARGV_TOKENS), max_size=2),
+           st.sampled_from(["lattice", "qnd", "spectrum", "nosuch", "--"]),
+           st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6))
+    def test_argv_read_as_argparse_read_it(self, head, command, tail):
+        argv = [*head, command, *tail]
+        assert _front_end(argv) == _front_end(argv, reference=True)
 
-        def spy(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
+    @pytest.mark.parametrize("argv, options", [
+        (["ground", "--config=c.json"], {}),
+        (["ground", "--conf", "c.json"], {}),
+        (["ground", "--c=c.json", "--f", "csv", "--s", "-3"],
+         {"format": "csv", "seed": -3}),
+        (["ground", "--seed", "1", "--config", "a", "--seed", "2",
+          "--config", "c.json", "--out", "r", "--out=s"],
+         {"seed": 2, "out": "s"}),
+        (["ground", "--config", "c.json", "--seed", " 7 "], {"seed": 7}),
+        # argparse made this value an empty list
+        (["ground", "--config=c.json", "--out=--"], {"out": "--"}),
+    ])
+    def test_accepted_forms(self, argv, options):
+        assert _front_end(argv) == (None, {
+            "command": "ground", "config": "c.json", "out": None,
+            "format": "json", "seed": 0, **options}, "", "")
 
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    @pytest.mark.parametrize("argv, prog, error", [
+        (["lattice"], "semionlab lattice",
+         "the following arguments are required: --config"),
+        (["lattice", "--config", "c", "--format", "xml"], "semionlab lattice",
+         "argument --format: invalid choice: 'xml' (choose from 'json', "
+         "'csv')"),
+        (["lattice", "--config", "c", "--seed", "1.5"], "semionlab lattice",
+         "argument --seed: invalid int value: '1.5'"),
+        (["lattice", "--config", "c", "--nosuch"], "semionlab",
+         "unrecognized arguments: --nosuch"),
+        (["lattice", "--config"], "semionlab lattice",
+         "argument --config: expected one argument"),
+        (["lattice", "--config", "c", "--format", "xml", "-h"],
+         "semionlab lattice",
+         "argument --format: invalid choice: 'xml' (choose from 'json', "
+         "'csv')"),
+        ([], "semionlab", "the following arguments are required: command"),
+        (["--=x"], "semionlab",
+         "ambiguous option: --=x could match --help, --version"),
+        (["lattice", "--config", "c", "--"], "semionlab",
+         "unrecognized arguments: --"),
+        (["lattice", "--config", "--", "c"], "semionlab lattice",
+         "argument --config: expected one argument"),
+    ])
+    def test_refusals(self, argv, prog, error):
+        code, options, out, err = _front_end(argv)
+        assert (code, options, out) == (2, None, "")
+        assert err.startswith("usage: semionlab ")
+        assert err.endswith(f"\n{prog}: error: {error}\n")
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["-h"], "semionlab [-h]"), (["--he"], "semionlab [-h]"),
+        (["-hh"], "semionlab [-h]"), (["qnd", "-h"], "semionlab qnd [-h]"),
+        (["qnd", "--config", "c", "--help"], "semionlab qnd [-h]"),
+    ] + [([command, "-h"], f"semionlab {command} [-h]") for command in
+         ("lattice", "spectrum", "ground", "braid", "circuit")])
+    def test_help(self, argv, usage):
+        code, options, out, err = _front_end(argv)
+        assert (code, options, err) == (0, None, "")
+        assert out.startswith(f"usage: {usage}")
+        assert out == _front_end(argv, reference=True)[2]
+
+    def test_real_run_through_each_form(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "lat.json", {"rows": 1, "cols": 2})
-        for _ in range(5):
-            assert run(["lattice", "--config", cfg], capsys)[0] == 0
-        assert built.count("semionlab") <= 1
+        code, expected, _ = run(["lattice", "--config", cfg], capsys)
+        assert code == 0
+        for argv in (["lattice", f"--config={cfg}"],
+                     ["lattice", "--conf", cfg],
+                     ["lattice", "--config", "missing.json", "--config",
+                      cfg]):
+            assert run(argv, capsys) == (0, expected, "")
 
     def test_reuse_matches_fresh_process(self, tmp_path, capsys):
         spec = write_config(tmp_path, "spec.json",

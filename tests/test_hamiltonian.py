@@ -13,13 +13,20 @@ from semionlab.hamiltonian import (
     DiagonalOracle,
     HamiltonianTerms,
     build_device_hamiltonian,
+    _levels,
     build_spin_hamiltonian,
     dense_matrix,
     predicted_ground_degeneracy,
     spectrum,
 )
 from semionlab.lattice import build_layout
-from semionlab.pauli import PauliString, commutes
+from semionlab.pauli import (
+    PauliString,
+    _echelon,
+    _z_signs,
+    commutes,
+    multiply_all,
+)
 
 
 class TestFermionOracle:
@@ -277,6 +284,33 @@ class TestTableauSpectrum:
         ham = _terms(1, (1.0, "X"), (1.0, "Z"))
         with pytest.raises(ValueError, match="dense_matrix"):
             spectrum(ham)
+
+    @pytest.mark.parametrize("dims, draws", [((1, 4), 4), ((2, 3), 4),
+                                             ((3, 2), 3), ((2, 4), 2),
+                                             ((3, 3), 1), ((3, 4), 1)])
+    def test_levels_bit_identical_to_per_term_signs(self, dims, draws):
+        # the per-term loop the tableau levels once were: a fresh sign
+        # array of every pattern for each term, added in term order
+        rng = np.random.default_rng(dims[0] * 10 + dims[1])
+        layout = build_layout(*dims)
+        for _ in range(draws):
+            ham = build_spin_hamiltonian(layout, *rng.uniform(-2, 2, 3))
+            rows, levels = _levels(ham)
+            n = ham.n_sites
+            _, deps = _echelon(op.x_mask << n | op.z_mask
+                               for _, op in ham.terms)
+            gens = []
+            expected = np.zeros(1 << len(rows))
+            for (coeff, op), dep in zip(ham.terms, deps):
+                if dep is None:
+                    dep = 1 << len(gens)
+                    gens.append(op)
+                elif multiply_all([op, *(g for k, g in enumerate(gens)
+                                         if dep >> k & 1)]).phase_exp == 2:
+                    coeff = -coeff
+                expected += coeff * _z_signs(dep, len(rows))
+            assert np.array_equal(levels.view(np.int64),
+                                  expected.view(np.int64))
 
 
 class TestGroundDegeneracy:

@@ -1,5 +1,8 @@
 """Pauli algebra checked against dense matrices built independently."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -337,3 +340,62 @@ def test_large_register_masks_work():
     q = PauliString.single(80, 77, "Y")
     assert multiply(p, q).is_identity_mask()
     assert p.is_hermitian()
+
+
+def _values():
+    """One of each value class built in bulk: a Pauli string, a bond
+    plaquette, a string spec and a fusion result."""
+    from semionlab.anyons import StringSpec, fuse_check
+    from semionlab.lattice import build_layout
+
+    layout = build_layout(2, 3)
+    loop = StringSpec.z_string(layout, [0, 1, 3])
+    crossing = StringSpec.x_string(layout, [1])
+    return [PauliString(5, 3, 6, 7, "device"), layout.bond_plaquettes[2],
+            loop, fuse_check(layout, loop, crossing)]
+
+
+class TestValueContract:
+    @pytest.mark.parametrize("value", _values(),
+                             ids=lambda v: type(v).__name__)
+    def test_every_field_is_frozen(self, value):
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+        with pytest.raises((dataclasses.FrozenInstanceError, AttributeError,
+                            TypeError)):
+            value.extra = 1
+
+    @pytest.mark.parametrize("value", _values(),
+                             ids=lambda v: type(v).__name__)
+    def test_copies_equal_the_original(self, value):
+        assert dataclasses.replace(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_equality_and_hash_ignore_rep(self):
+        tagged = PauliString(4, 5, 9, 2, "honeycomb_spin")
+        for other in (PauliString(4, 5, 9, 2), PauliString(4, 5, 9, 6, "x")):
+            assert other == tagged and hash(other) == hash(tagged)
+        assert PauliString(4, 5, 9, 3, "honeycomb_spin") != tagged
+        assert PauliString(5, 5, 9, 2, "honeycomb_spin") != tagged
+
+    def test_fields_by_keyword_and_phase_reduced(self):
+        op = PauliString(n_sites=3, z_mask=4, phase_exp=-1, rep="device")
+        assert (op.n_sites, op.x_mask, op.z_mask, op.phase_exp, op.rep) == \
+            (3, 0, 4, 3, "device")
+        assert PauliString(3).phase_exp == 0 and PauliString(3).rep is None
+
+    @pytest.mark.parametrize("args", [(0,), (-1,), (3, 8), (3, -1),
+                                      (3, 0, 8), (3, 0, -1), (1, 2, 0)])
+    def test_out_of_range_refused(self, args):
+        with pytest.raises(DimensionMismatchError):
+            PauliString(*args)
+
+    def test_replace_rechecks_and_keeps_the_rest(self):
+        plq = _values()[1]
+        moved = dataclasses.replace(plq, row=7, labels=(1, 2, 3))
+        assert (moved.row, moved.labels) == (7, (1, 2, 3))
+        assert (moved.index, moved.up, moved.down) == \
+            (plq.index, plq.up, plq.down)
+        with pytest.raises(DimensionMismatchError):
+            dataclasses.replace(plq.up, x_mask=1 << plq.up.n_sites)

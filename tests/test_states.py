@@ -622,6 +622,13 @@ class TestStateVectorBasics:
         with pytest.raises(CapacityError, match="do not fit 64 bits"):
             project_ground(build_layout(16, 2))
 
+    def test_oversized_support_named_before_the_index_width(self):
+        # 2x16 fails both checks: 64 qubits, and a support of 2**30
+        # entries; the budget is checked first and names the support
+        with pytest.raises(CapacityError, match=r"^ground-state support of "
+                           r"2\*\*30 entries needs 1073741824 elements"):
+            project_ground(build_layout(2, 16))
+
     def test_dense_capacity_guard(self):
         from semionlab.errors import CapacityError
         with pytest.raises(CapacityError):

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -78,6 +80,16 @@ def test_cli_bytes_names_only_the_path_of_one_changed_list_element():
     assert keys == ["levels[][]"]
 
 
+@pytest.mark.parametrize("fmt, report", [
+    ("json", _json({"energy": -1.5, "checks": {"ok": True}})),
+    ("csv", b"key,value\nenergy,-1.5\nok,True\n"),
+])
+def test_cli_bytes_names_an_empty_stdout_as_no_output(fmt, report):
+    tool = _load("cli_bytes")
+    assert tool._differing_keys(fmt, b"", report) == ["(no output)"]
+    assert tool._differing_keys(fmt, report, b"") == ["(no output)"]
+
+
 def test_cli_bytes_reports_a_one_ulp_move():
     old = {"lambda_pair_J": 1.0, "notes": ["a"]}
     new = {"lambda_pair_J": 1.0000000000000002, "notes": ["a"]}
@@ -102,3 +114,9 @@ def test_cli_bytes_prints_no_change_for_a_renamed_key():
     new = {"checks": {"sector_match": True}, "energy": -1.5, "gap_J": 2.5}
     assert _load("cli_bytes")._largest_change("json", _json(old),
                                               _json(new)) is None
+
+
+def test_ab_pass_counts_the_pairs_the_change_won():
+    wins = _load("ab_pass")._wins
+    assert wins([2.0, 1.0, 3.0, 1.5], [1.0, 1.0, 3.5, 1.4]) == 2
+    assert wins([], []) == 0

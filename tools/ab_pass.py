@@ -14,8 +14,9 @@ pass time, far more than the change being measured; passes interleaved
 in one process see the same drift, so their ratio keeps it out.
 
 Printed: the median of the per-pair ratios CHANGE / PARENT with its
-quartiles, the median pass time of each tree, and each operation's median
-time in both.  A pass whose checks fail is reported and ends the run
+quartiles, the number of pairs the change ran faster in (a claimed gain
+is judged by the pairs it wins), the median pass time of each tree, and
+each operation's median time in both.  A pass whose checks fail is reported and ends the run
 with exit code 1.  BLAS and OpenMP are pinned to one thread, as in the
 benchmark worker.  Nothing else of ``perfbench`` is read.
 """
@@ -115,6 +116,11 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def _wins(parent: list[float], change: list[float]) -> int:
+    """How many pairs the change ran strictly faster in."""
+    return sum(c < p for p, c in zip(parent, change))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -146,7 +152,8 @@ def main() -> int:
     print(f"workload {args.workload}, seed {args.seed}, "
           f"{args.passes} interleaved pass pairs")
     print(f"paired ratio change/parent: median {med:.3f} "
-          f"(quartiles {q1:.3f}, {q3:.3f})")
+          f"(quartiles {q1:.3f}, {q3:.3f}); change faster in "
+          f"{_wins(parent.pass_s, change.pass_s)} of {len(ratios)} pairs")
     print(f"median pass: parent {statistics.median(parent.pass_s) * 1e3:.2f}"
           f" ms, change {statistics.median(change.pass_s) * 1e3:.2f} ms")
     print(f"{'operation':<28} {'parent ms':>10} {'change ms':>10}")

@@ -21,7 +21,7 @@ compared byte for byte.  A run that differs is printed with what
 differs: the exit codes, the report keys whose values differ (JSON paths
 with list positions folded to ``[]``, compared as the list of values at
 each path, or CSV first cells, compared as the list of lines that start
-with each), the largest relative change of a number that sits at the
+with each; ``(no output)`` when either stdout is empty), the largest relative change of a number that sits at the
 same place on both sides (the same JSON path, or the same cell of the
 lines under the same CSV first cell), when one moved, and whether stderr
 differs.  The exit code is 1 if any run differs, else 0.  BLAS and
@@ -185,7 +185,11 @@ def _groups(fmt: str, out: bytes) -> dict:
 def _differing_keys(fmt: str, a: bytes, b: bytes) -> list[str]:
     """The report keys whose values differ between two stdouts: the JSON
     paths whose lists of values differ, or the first cells whose lists of
-    CSV lines differ, so a change at one key names that key alone."""
+    CSV lines differ, so a change at one key names that key alone.  An
+    empty stdout on either side (a refused run) gives ``(no output)``,
+    not the keys of the other side's whole report."""
+    if not a or not b:
+        return ["(no output)"]
     try:
         left, right = _groups(fmt, a), _groups(fmt, b)
     except ValueError:
