@@ -15,7 +15,6 @@ import io
 import json
 import math
 import operator
-import re
 import sys
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -121,7 +120,7 @@ def _load_config(path: str, command: str) -> dict:
         if "\r" in text:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         cfg = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -493,175 +492,77 @@ def _to_json(obj, pad: str = "") -> str:
 
 # -- argv ---------------------------------------------------------------
 
-_PROG = "semionlab"
-_CHOICES = ",".join(_RUNNERS)
-_TOP_USAGE = (f"usage: {_PROG} [-h] [--version]\n"
-              f"{' ' * len('usage: ' + _PROG)} {{{_CHOICES}}} ...\n")
-_TOP_HELP = f"""{_TOP_USAGE}
-anyon lattice model and circuit parameter toolbox
-
-positional arguments:
-  {{{_CHOICES}}}
-
-options:
-  -h, --help            show this help message and exit
-  --version             show program's version number and exit
-"""
-_COMMAND_OPTIONS = """
-options:
-  -h, --help           show this help message and exit
-  --config CONFIG
-  --out OUT
-  --format {json,csv}
-  --seed SEED
-"""
-_TOP_FLAGS = ("--help", "--version")
-_COMMAND_FLAGS = ("--help", "--config", "--out", "--format", "--seed")
 _FORMATS = ("json", "csv")
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+_FLAGS = frozenset(("--config", "--out", "--format", "--seed"))
 
 
-def _usage(command: str | None) -> str:
-    """The usage text of the top level (``None``) or of one command,
-    wrapped at 78 columns after whole items."""
-    if command is None:
-        return _TOP_USAGE
-    lines = [f"usage: {_PROG} {command}"]
-    indent = " " * (len(lines[0]) + 1)
-    for item in ("[-h]", "--config CONFIG", "[--out OUT]",
-                 "[--format {json,csv}]", "[--seed SEED]"):
-        if len(lines[-1]) + 1 + len(item) > 78:
-            lines.append(indent + item)
-        else:
-            lines[-1] += " " + item
-    return "\n".join(lines) + "\n"
+@functools.cache
+def _parser():
+    """The argparse grammar of the CLI, built on the first argv that
+    :func:`_parse_argv` leaves to it.  Help and usage wrap at 78 columns
+    whatever the terminal width."""
+    import argparse
+
+    class Store(argparse.Action):
+        # argparse before 3.13 reads an "=" value of exactly "--" as []
+        # and skips the type and choices checks; read it as "--"
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                values = parser._get_value(self, "--")
+                parser._check_value(self, values)
+            setattr(namespace, self.dest, values)
+
+    formatter = functools.partial(argparse.HelpFormatter, width=78)
+    parser = argparse.ArgumentParser(
+        prog="semionlab", formatter_class=formatter,
+        description="anyon lattice model and circuit parameter toolbox")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in _RUNNERS:
+        p = sub.add_parser(name, formatter_class=formatter)
+        p.add_argument("--config", required=True, action=Store)
+        p.add_argument("--out", default=None, action=Store)
+        p.add_argument("--format", choices=_FORMATS, default="json",
+                       action=Store)
+        p.add_argument("--seed", type=int, default=0, action=Store)
+    return parser
 
 
-def _refuse(command: str | None, message: str):
-    """Usage and one error line on stderr, then exit 2."""
-    prog = _PROG if command is None else f"{_PROG} {command}"
-    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
-    raise SystemExit(2)
-
-
-def _flag(token: str, names: tuple[str, ...]) -> tuple | None:
-    """What one argv token before any ``--`` is: ``None`` for a value,
-    else ``(name, explicit)``.
-
-    A token is a value unless it starts with ``-`` and is not ``-``
-    itself, a negative number, or a token with a space that names no
-    flag.  ``name`` is the one of ``names`` that the text before any
-    ``=`` is a prefix of, ``"-h"`` for a token that starts with ``-h``,
-    or ``None`` for a flag of no option.  ``explicit`` is the text after
-    that ``=`` (after ``-h``: the rest of the token, less a leading
-    ``=``), ``None`` if there is none.
-    """
-    if token[:1] != "-" or token == "-":
-        return None
-    if token[1] == "-":
-        head, equals, tail = token.partition("=")
-        for name in names:
-            if name.startswith(head):
-                return name, tail if equals else None
-    elif token[1] == "h":
-        return "-h", (None if token == "-h" else
-                      token[3:] if token[2] == "=" else token[2:])
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return None, None
-
-
-def _help(command: str | None, name: str, explicit: str | None):
-    """Print the help of the top level or of ``command`` and exit 0.
-
-    ``-h`` may repeat its letter (``-hh``); any other text after it, or
-    any ``=`` value of ``--help``, is refused.
-    """
-    if explicit is not None:
-        rest = explicit if name == "--help" else explicit.lstrip("h")
-        if rest or not explicit:
-            _refuse(command, "argument -h/--help: ignored explicit "
-                    f"argument {rest!r}")
-    sys.stdout.write(_TOP_HELP if command is None
-                     else _usage(command) + _COMMAND_OPTIONS)
-    raise SystemExit(0)
-
-
-def _parse_argv(argv: list[str]) -> SimpleNamespace:
+def _parse_argv(argv: list[str]):
     """``command``, ``config``, ``out``, ``format`` and ``seed`` of argv.
 
-    The grammar is ``semionlab [-h] [--version] COMMAND --config CONFIG
-    [--out OUT] [--format {json,csv}] [--seed SEED]``.  A flag is named
-    in full or by a unique prefix (``--conf``), its value in the next
-    token or after ``=``; a flag given twice keeps its last value.  Flags
-    act left to right, so ``-h`` prints help and ``--version`` the
-    version (exit 0) unless an earlier token was refused.  Every token
-    from the first ``--`` on is a value, and a value that no flag takes
-    is left over.  Anything refused exits 2 with the usage and one
-    ``error:`` line on stderr, and so is a run with a token left over.
+    The grammar is :func:`_parser`'s.  The canonical form is read here
+    without argparse: a command, then whole flag names only, each value
+    in the next token (one that does not start with ``-``) or after
+    ``=``, a last value winning.  Every other argv, help, ``--version``
+    and every refusal among them, goes to argparse.
     """
-    cut = argv.index("--") if "--" in argv else len(argv)
-    for token in argv[:cut]:
-        if token.startswith("--="):
-            _refuse(None, f"ambiguous option: {token} could match "
-                    + ", ".join(_TOP_FLAGS))
-    extras = []
-    for k, token in enumerate(argv):
-        found = _flag(token, _TOP_FLAGS) if k < cut else None
-        if found is None:
-            break
-        name, explicit = found
-        if name == "--version":
-            if explicit is not None:
-                _refuse(None, "argument --version: ignored explicit "
-                        f"argument {explicit!r}")
-            sys.stdout.write(__version__ + "\n")
-            raise SystemExit(0)
-        if name is not None:
-            _help(None, name, explicit)
-        extras.append(token)
-    else:
-        _refuse(None, "the following arguments are required: command")
-    # a last "--" is no command; one followed by more is the command "--"
-    if token == "--" and k + 1 == len(argv):
-        _refuse(None, "the following arguments are required: command")
-    if token not in _RUNNERS:
-        _refuse(None, f"argument command: invalid choice: {token!r} "
-                f"(choose from {', '.join(map(repr, _RUNNERS))})")
-    command = token
-    args = SimpleNamespace(command=command, config=None, out=None,
-                           format="json", seed=0)
-    k += 1
-    while k < len(argv):
-        token = argv[k]
-        k += 1
-        found = _flag(token, _COMMAND_FLAGS) if k <= cut else None
-        if found is None or found[0] is None:
-            extras.append(token)
-            continue
-        name, value = found
-        if name in ("--help", "-h"):
-            _help(command, name, value)
-        if value is None:
-            if k == cut or _flag(argv[k], _COMMAND_FLAGS) is not None:
-                _refuse(command, f"argument {name}: expected one argument")
-            value = argv[k]
+    if argv and argv[0] in _RUNNERS:
+        args = SimpleNamespace(command=argv[0], config=None, out=None,
+                               format="json", seed=0)
+        k, n = 1, len(argv)
+        while k < n:
+            name, equals, value = argv[k].partition("=")
             k += 1
-        if name == "--seed":
-            try:
-                value = int(value)
-            except ValueError:
-                _refuse(command,
-                        f"argument --seed: invalid int value: {value!r}")
-        elif name == "--format" and value not in _FORMATS:
-            _refuse(command, f"argument --format: invalid choice: {value!r} "
-                    f"(choose from {', '.join(map(repr, _FORMATS))})")
-        setattr(args, name[2:], value)
-    if args.config is None:
-        _refuse(command, "the following arguments are required: --config")
-    if extras:
-        _refuse(None, f"unrecognized arguments: {' '.join(extras)}")
-    return args
+            if name not in _FLAGS:
+                break
+            if not equals:
+                if k == n or argv[k][:1] == "-":
+                    break
+                value = argv[k]
+                k += 1
+            if name == "--seed":
+                try:
+                    value = int(value)
+                except ValueError:
+                    break
+            elif name == "--format" and value not in _FORMATS:
+                break
+            setattr(args, name[2:], value)
+        else:
+            if args.config is not None:
+                return args
+    return _parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -519,6 +519,15 @@ def test_unwritable_out_path_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_invalid_utf8_config_names_the_file(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"rows": 1, "cols": 2, "note": "\xff"}')
+    code, out, err = run(["lattice", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read config {path}: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path, "lat.json", {"rows": 1, "cols": 2})
     proc = subprocess.run(
@@ -552,19 +561,41 @@ def test_cli_import_leaves_out_the_eigensolver(tmp_path):
 
 
 def test_cli_run_leaves_out_argparse(tmp_path):
-    # the front end reads argv by hand; argparse costs a small run a
-    # quarter of its time
+    # the front end reads the canonical form without argparse, which
+    # costs a small run a quarter of its time; any other form loads it
     cfg = write_config(tmp_path, "lat.json", {"rows": 1, "cols": 2})
+    out = cfg + ".out"
+    canonical = [
+        ["lattice", "--config", cfg],
+        ["lattice", f"--config={cfg}"],
+        ["lattice", "--config", cfg, "--out", out],
+        ["lattice", "--config", cfg, "--format", "csv"],
+        ["lattice", "--config", cfg, "--seed", "3"],
+        ["lattice", "--seed=-3", f"--out={out}", "--format=json",
+         "--config", cfg],
+        ["lattice", "--format", "csv", "--config", "missing.json",
+         "--seed", "1", "--config", cfg, "--format", "json", "--seed=2"],
+    ]
     script = (
-        "import sys, semionlab.cli\n"
-        f"code = semionlab.cli.main(['lattice', '--config', {cfg!r},"
-        f" '--out', {cfg + '.out'!r}])\n"
-        "print(code, 'argparse' in sys.modules)\n")
+        "import contextlib, io, json, sys, semionlab.cli\n"
+        "runs = []\n"
+        f"for argv in {[*canonical, ['lattice', '--conf', cfg]]!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = semionlab.cli.main(argv)\n"
+        "    runs.append([code, out.getvalue(), 'argparse' in sys.modules])\n"
+        "print(json.dumps(runs))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC})
-    assert (proc.returncode, proc.stdout, proc.stderr) == \
-        (0, "0 False\n", "")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    runs = json.loads(proc.stdout)
+    assert [(code, loaded) for code, _, loaded in runs] == \
+        [(0, False)] * len(canonical) + [(0, True)]
+    stdouts = [stdout for _, stdout, _ in runs]
+    assert stdouts[0] and stdouts[3].startswith("key,")
+    assert stdouts == [stdouts[0], stdouts[0], "", stdouts[3], stdouts[0],
+                       "", stdouts[0], stdouts[0]]
 
 
 _FLOATS = st.one_of(
@@ -797,13 +828,14 @@ class _Parsed(Exception):
     """Carries the options a patched runner received out of ``main``."""
 
 
-def _front_end(argv, reference=False):
+def _front_end(argv, reference=False, columns="80"):
     """``(exit code, options, stdout, stderr)`` of one argv: the code is
     ``None`` and the options a dict when the argv parses.
 
     ``main`` runs with every runner replaced by one that raises the
     options it gets, and no config is read; ``reference=True`` parses
-    with ``_REFERENCE`` instead.  Help text is wrapped at 80 columns."""
+    with ``_REFERENCE`` instead.  ``COLUMNS`` is set to ``columns``, at
+    which the reference wraps help text 2 columns short."""
     import semionlab.cli as cli
 
     def record(cfg, args):
@@ -811,7 +843,7 @@ def _front_end(argv, reference=False):
 
     out, err = io.StringIO(), io.StringIO()
     code = options = None
-    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+    with mock.patch.dict(os.environ, {"COLUMNS": columns}), \
             mock.patch.object(cli, "_load_config", lambda path, cmd: {}), \
             mock.patch.dict(cli._RUNNERS, dict.fromkeys(cli._RUNNERS,
                                                         record)), \
@@ -831,8 +863,8 @@ def _front_end(argv, reference=False):
 # tokens of each kind argparse told apart: commands, values, negative
 # numbers, flags in full, by prefix, with "=", unknown, "-h" clusters,
 # "--" and ambiguous ones.  An "=" value of exactly "--" is left out:
-# argparse turned it into an empty list (so `--config=--` crashed), where
-# the front end takes it as the text "--".
+# argparse before 3.13 turns it into an empty list, where the front end
+# takes it as the text "--" (test_accepted_forms, _REFUSALS).
 _ARGV_TOKENS = [
     "lattice", "qnd", "circuit", "nosuch", "", "x", "a b", "-", "--",
     "-1", "-.5", "-1x", "-x", "-x y", "-h", "-hh", "-hx", "-h=", "-h=h",
@@ -841,6 +873,39 @@ _ARGV_TOKENS = [
     "--config=", "--c b", "--out", "--o=x", "--format", "--f", "json",
     "csv", "xml", "--format=csv", "--seed", "--s", "--seed=3", "3", " 7 ",
     "1.5", "--seed=-2", "--nosuch", "--nosuch=1", "---", "--seed=1_0",
+]
+
+
+# (argv, prog, error line) of argv the CLI refuses; tools/cli_bytes.py
+# runs each of them on two trees
+_REFUSALS = [
+    (["lattice"], "semionlab lattice",
+     "the following arguments are required: --config"),
+    (["lattice", "--config", "c", "--format", "xml"], "semionlab lattice",
+     "argument --format: invalid choice: 'xml' (choose from 'json', "
+     "'csv')"),
+    (["lattice", "--config", "c", "--seed", "1.5"], "semionlab lattice",
+     "argument --seed: invalid int value: '1.5'"),
+    (["lattice", "--config", "c", "--nosuch"], "semionlab",
+     "unrecognized arguments: --nosuch"),
+    (["lattice", "--config"], "semionlab lattice",
+     "argument --config: expected one argument"),
+    (["lattice", "--config", "c", "--format", "xml", "-h"],
+     "semionlab lattice",
+     "argument --format: invalid choice: 'xml' (choose from 'json', "
+     "'csv')"),
+    ([], "semionlab", "the following arguments are required: command"),
+    (["--=x"], "semionlab",
+     "ambiguous option: --=x could match --help, --version"),
+    (["lattice", "--config", "c", "--"], "semionlab",
+     "unrecognized arguments: --"),
+    (["lattice", "--config", "--", "c"], "semionlab lattice",
+     "argument --config: expected one argument"),
+    # argparse before 3.13 skipped the type and choices checks of these
+    (["lattice", "--config", "c", "--s=--"], "semionlab lattice",
+     "argument --seed: invalid int value: '--'"),
+    (["lattice", "--config", "c", "--f=--"], "semionlab lattice",
+     "argument --format: invalid choice: '--' (choose from 'json', 'csv')"),
 ]
 
 
@@ -862,38 +927,17 @@ class TestParser:
           "--config", "c.json", "--out", "r", "--out=s"],
          {"seed": 2, "out": "s"}),
         (["ground", "--config", "c.json", "--seed", " 7 "], {"seed": 7}),
-        # argparse made this value an empty list
+        # argparse before 3.13 made these values an empty list
         (["ground", "--config=c.json", "--out=--"], {"out": "--"}),
+        (["ground", "--conf=--"], {"config": "--"}),
+        (["ground", "--config=c.json", "--o=--"], {"out": "--"}),
     ])
     def test_accepted_forms(self, argv, options):
         assert _front_end(argv) == (None, {
             "command": "ground", "config": "c.json", "out": None,
             "format": "json", "seed": 0, **options}, "", "")
 
-    @pytest.mark.parametrize("argv, prog, error", [
-        (["lattice"], "semionlab lattice",
-         "the following arguments are required: --config"),
-        (["lattice", "--config", "c", "--format", "xml"], "semionlab lattice",
-         "argument --format: invalid choice: 'xml' (choose from 'json', "
-         "'csv')"),
-        (["lattice", "--config", "c", "--seed", "1.5"], "semionlab lattice",
-         "argument --seed: invalid int value: '1.5'"),
-        (["lattice", "--config", "c", "--nosuch"], "semionlab",
-         "unrecognized arguments: --nosuch"),
-        (["lattice", "--config"], "semionlab lattice",
-         "argument --config: expected one argument"),
-        (["lattice", "--config", "c", "--format", "xml", "-h"],
-         "semionlab lattice",
-         "argument --format: invalid choice: 'xml' (choose from 'json', "
-         "'csv')"),
-        ([], "semionlab", "the following arguments are required: command"),
-        (["--=x"], "semionlab",
-         "ambiguous option: --=x could match --help, --version"),
-        (["lattice", "--config", "c", "--"], "semionlab",
-         "unrecognized arguments: --"),
-        (["lattice", "--config", "--", "c"], "semionlab lattice",
-         "argument --config: expected one argument"),
-    ])
+    @pytest.mark.parametrize("argv, prog, error", _REFUSALS)
     def test_refusals(self, argv, prog, error):
         code, options, out, err = _front_end(argv)
         assert (code, options, out) == (2, None, "")
@@ -911,6 +955,25 @@ class TestParser:
         assert (code, options, err) == (0, None, "")
         assert out.startswith(f"usage: {usage}")
         assert out == _front_end(argv, reference=True)[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["qnd", "-h"], ["--version"], [], ["nosuch"], ["lattice"],
+        ["lattice", "--config", "c", "--format", "xml"]])
+    def test_help_and_errors_ignore_the_terminal_width(self, argv):
+        # every usage line is 81 to 93 columns unwrapped, so a width
+        # read from the terminal would wrap it differently at 50 or 200
+        at_80 = _front_end(argv)
+        for columns in ("50", "200"):
+            assert _front_end(argv, columns=columns) == at_80
+
+    def test_config_double_dash_names_the_file(self, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["lattice", "--conf=--"], ["lattice", "--config=--"]):
+            code, out, err = run(argv, capsys)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: cannot read config --: ")
+            assert err.count("\n") == 1
 
     def test_real_run_through_each_form(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "lat.json", {"rows": 1, "cols": 2})

@@ -120,3 +120,32 @@ def test_ab_pass_counts_the_pairs_the_change_won():
     wins = _load("ab_pass")._wins
     assert wins([2.0, 1.0, 3.0, 1.5], [1.0, 1.0, 3.5, 1.4]) == 2
     assert wins([], []) == 0
+
+
+def test_cli_bytes_runs_each_refusal_of_the_parser_tests():
+    spec = importlib.util.spec_from_file_location(
+        "cli_tests", Path(__file__).resolve().parent / "test_cli.py")
+    cli_tests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cli_tests)
+    forms = [argv for _, argv in _load("cli_bytes").ARGV_FORMS]
+    assert [argv for argv, _, _ in cli_tests._REFUSALS
+            if argv not in forms] == []
+    for argv in (["-h"], ["lattice", "-h"], ["--version"],
+                 ["lattice", "--conf=--"], ["lattice", "--config=--"]):
+        assert argv in forms
+
+
+def test_cli_bytes_names_what_differs_in_an_argv_run():
+    from subprocess import CompletedProcess
+    tool = _load("cli_bytes")
+    run = CompletedProcess([], 2, b"", b"usage: semionlab\nerror: x\n")
+    assert tool._difference("argv:a", None, run, run) is None
+    other = CompletedProcess([], 0, b"0.1.0\n", run.stderr)
+    assert tool._difference("argv:a", None, run, other) == \
+        "DIFF argv:a: exit 2 -> 0; stdout differs; stderr same"
+    report = _json({"energy": -1.5})
+    old = CompletedProcess([], 0, report, b"")
+    new = CompletedProcess([], 0, _json({"energy": -1.25}), b"warn\n")
+    assert tool._difference("readme:ground", "json", old, new) == (
+        "DIFF readme:ground --format json: exit 0 -> 0; stdout keys "
+        "['energy'] (largest relative change 0.17); stderr differs")

@@ -16,16 +16,21 @@ first on ``PYTHONPATH``) runs on a fixed set of configs, each once with
 - a fixed list of ``circuit`` edge configs: very strong coupling, a
   determinant that underflows, and a partial set of frequency keys.
 
+Then each tree runs a fixed list of argv forms on one small ``lattice``
+config: help, the version, prefix and ``=`` forms (an ``=`` value of
+exactly ``--`` among them) and each refusal of the CLI parser tests.
+
 For each run the exit code, stdout and stderr of the two trees are
-compared byte for byte.  A run that differs is printed with what
+compared byte for byte.  A config run that differs is printed with what
 differs: the exit codes, the report keys whose values differ (JSON paths
 with list positions folded to ``[]``, compared as the list of values at
 each path, or CSV first cells, compared as the list of lines that start
 with each; ``(no output)`` when either stdout is empty), the largest relative change of a number that sits at the
 same place on both sides (the same JSON path, or the same cell of the
 lines under the same CSV first cell), when one moved, and whether stderr
-differs.  The exit code is 1 if any run differs, else 0.  BLAS and
-OpenMP are pinned to one thread.
+differs; an argv run that differs, with its exit codes and whether
+stdout and stderr differ.  The exit code is 1 if any run differs, else
+0.  BLAS and OpenMP are pinned to one thread.
 """
 
 from __future__ import annotations
@@ -90,6 +95,43 @@ CIRCUIT_EDGES = (
 )
 
 
+# (label, argv) run in the work directory, CONFIG standing for the path
+# of a 1x2 lattice config.  The refusals are those of the CLI parser
+# tests; "c" names no file, as no refusal reads a config.
+CONFIG = "@config"
+ARGV_FORMS = (
+    ("help", ["-h"]),
+    ("help-cluster", ["-hh"]),
+    ("help-prefix", ["--he"]),
+    ("command-help", ["lattice", "-h"]),
+    ("command-help-late", ["qnd", "--config", "c", "--help"]),
+    ("version", ["--version"]),
+    ("version-prefix", ["--vers"]),
+    ("prefixes", ["lattice", "--conf", CONFIG, "--f", "csv", "--s", "-3"]),
+    ("equals", ["lattice", f"--config={CONFIG}", "--seed=2", "--format=csv"]),
+    ("prefix-equals", ["lattice", f"--c={CONFIG}", "--s=-1"]),
+    ("twice", ["lattice", "--config", "c", "--config", CONFIG, "--seed", "1",
+               "--seed", " 7 "]),
+    ("config=--", ["lattice", "--config=--"]),
+    ("conf=--", ["lattice", "--conf=--"]),
+    ("o=--", ["lattice", "--config", CONFIG, "--o=--"]),
+    ("refuse:no-config", ["lattice"]),
+    ("refuse:format", ["lattice", "--config", "c", "--format", "xml"]),
+    ("refuse:seed", ["lattice", "--config", "c", "--seed", "1.5"]),
+    ("refuse:unknown-flag", ["lattice", "--config", "c", "--nosuch"]),
+    ("refuse:no-value", ["lattice", "--config"]),
+    ("refuse:format-before-help",
+     ["lattice", "--config", "c", "--format", "xml", "-h"]),
+    ("refuse:no-command", []),
+    ("refuse:ambiguous", ["--=x"]),
+    ("refuse:trailing--", ["lattice", "--config", "c", "--"]),
+    ("refuse:value--", ["lattice", "--config", "--", "c"]),
+    ("refuse:s=--", ["lattice", "--config", "c", "--s=--"]),
+    ("refuse:f=--", ["lattice", "--config", "c", "--f=--"]),
+    ("refuse:unknown-command", ["nosuch"]),
+)
+
+
 def _plan_runs(parent: Path) -> list[tuple[str, str, dict, int]]:
     """``(label, command, config, seed)`` of every benchmark plan config."""
     spec = importlib.util.spec_from_file_location(
@@ -144,12 +186,10 @@ def _check_import(root: Path, env: dict, work: Path) -> None:
         raise SystemExit(f"{PACKAGE} of {root} imported from {path}")
 
 
-def _run(env: dict, work: Path, command: str, config: Path, fmt: str,
-         seed: int) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", f"{PACKAGE}.cli", command, "--config",
-         str(config), "--format", fmt, "--seed", str(seed)],
-        env=env, cwd=work, capture_output=True)
+def _run(env: dict, work: Path,
+         argv: list[str]) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", f"{PACKAGE}.cli", *argv],
+                          env=env, cwd=work, capture_output=True)
 
 
 def _leaves(obj, path: str = ""):
@@ -236,6 +276,27 @@ def _largest_change(fmt: str, a: bytes, b: bytes) -> float | None:
     return max(changes, default=0.0) or None
 
 
+def _difference(label: str, fmt: str | None, old, new) -> str | None:
+    """The ``DIFF`` line of one run on the two trees, ``None`` if their
+    exit codes, stdouts and stderrs are equal.  ``fmt`` is the format of
+    a config run, ``None`` for an argv run, whose stdout is compared
+    whole."""
+    if (old.returncode, old.stdout, old.stderr) == \
+            (new.returncode, new.stdout, new.stderr):
+        return None
+    stderr = "differs" if old.stderr != new.stderr else "same"
+    if fmt is None:
+        stdout = "differs" if old.stdout != new.stdout else "same"
+        return (f"DIFF {label}: exit {old.returncode} -> {new.returncode}; "
+                f"stdout {stdout}; stderr {stderr}")
+    keys = _differing_keys(fmt, old.stdout, new.stdout)
+    change = _largest_change(fmt, old.stdout, new.stdout)
+    moved = "" if change is None else \
+        f" (largest relative change {change:.2g})"
+    return (f"DIFF {label} --format {fmt}: exit {old.returncode} -> "
+            f"{new.returncode}; stdout keys {keys}{moved}; stderr {stderr}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -250,27 +311,27 @@ def main() -> int:
         envs = [_environment(root) for root in trees]
         for root, env in zip(trees, envs):
             _check_import(root, env, work)
+        jobs = []
         for k, (label, command, cfg, seed) in enumerate(runs):
             config = work / f"config{k}.json"
             config.write_text(json.dumps(cfg), encoding="utf-8")
-            for fmt in FORMATS:
-                old, new = (_run(env, work, command, config, fmt, seed)
-                            for env in envs)
-                same = (old.returncode, old.stdout, old.stderr) == \
-                    (new.returncode, new.stdout, new.stderr)
-                if same:
-                    continue
+            jobs += [(label, fmt, [command, "--config", str(config),
+                                   "--format", fmt, "--seed", str(seed)])
+                     for fmt in FORMATS]
+        config = work / "argv.json"
+        config.write_text(json.dumps({"rows": 1, "cols": 2}),
+                          encoding="utf-8")
+        jobs += [(f"argv:{label}", None,
+                  [token.replace(CONFIG, str(config)) for token in argv])
+                 for label, argv in ARGV_FORMS]
+        for label, fmt, argv in jobs:
+            line = _difference(label, fmt,
+                               *(_run(env, work, argv) for env in envs))
+            if line is not None:
                 differ += 1
-                keys = _differing_keys(fmt, old.stdout, new.stdout)
-                change = _largest_change(fmt, old.stdout, new.stdout)
-                moved = "" if change is None else \
-                    f" (largest relative change {change:.2g})"
-                stderr = "differs" if old.stderr != new.stderr else "same"
-                print(f"DIFF {label} --format {fmt}: exit "
-                      f"{old.returncode} -> {new.returncode}; stdout keys "
-                      f"{keys}{moved}; stderr {stderr}")
-    total = len(runs) * len(FORMATS)
-    print(f"{total} runs ({len(runs)} configs x {len(FORMATS)} formats), "
+                print(line)
+    print(f"{len(runs) * len(FORMATS)} runs ({len(runs)} configs x "
+          f"{len(FORMATS)} formats) and {len(ARGV_FORMS)} argv runs, "
           f"{differ} differ")
     return 1 if differ else 0
 
