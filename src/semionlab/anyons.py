@@ -67,20 +67,13 @@ __all__ = [
 
 # -- string specifications -------------------------------------------
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class StringSpec:
     """A compiled excitation string with its family tag and site set."""
 
     family: str
     sites: tuple[int, ...]
     operator: PauliString
-
-    def __init__(self, family: str, sites: tuple[int, ...],
-                 operator: PauliString):
-        # through the slot descriptors, as PauliString does
-        _set_family(self, family)
-        _set_sites(self, sites)
-        _set_operator(self, operator)
 
     @staticmethod
     def _letters(layout: HoneycombLayout, sites, letter: str, family: str):
@@ -117,11 +110,6 @@ class StringSpec:
         return StringSpec("x", op.sites(), op)
 
 
-_set_family = StringSpec.family.__set__
-_set_sites = StringSpec.sites.__set__
-_set_operator = StringSpec.operator.__set__
-
-
 # -- vortex bookkeeping ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -132,6 +120,10 @@ class VortexMap:
 
     def flipped_against(self,
                         other: "VortexMap") -> dict[str, tuple[int, ...]]:
+        if len(self.values) != len(other.values):
+            raise DimensionMismatchError(
+                f"vortex maps of {len(other.values)} and "
+                f"{len(self.values)} plaquettes")
         ups, downs = [], []
         for idx, ((a0, b0), (a1, b1)) in enumerate(
                 zip(other.values, self.values)):
@@ -171,9 +163,7 @@ def _flip_masks(layout: HoneycombLayout, op: PauliString) -> tuple[int, int]:
     flipped ones: one XOR per set bit and family, whatever the number of
     plaquettes.
     """
-    plqs = layout.bond_plaquettes
-    if plqs:
-        _check_compatible(op, plqs[0].up)
+    _check_compatible(op, layout.bond_plaquettes[0].up)
     up_columns = layout.flip_columns[UP]
     down_columns = layout.flip_columns[DOWN]
     up = down = 0
@@ -238,7 +228,7 @@ def braid_phase_on_state(loop: StringSpec, crossing: StringSpec,
     return overlap(unbraided, braided)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class FusionResult:
     """The fusion channel of two strings (:func:`fuse_check`).
 
@@ -255,17 +245,6 @@ class FusionResult:
     is_vacuum: bool
     flip_masks: tuple[tuple[int, int], ...] = field(repr=False)
 
-    def __init__(self, same_family: bool, shared_sites: tuple[int, ...],
-                 residual: PauliString, residual_is_identity: bool,
-                 is_vacuum: bool, flip_masks: tuple[tuple[int, int], ...]):
-        # through the slot descriptors, as PauliString does
-        _set_same_family(self, same_family)
-        _set_shared_sites(self, shared_sites)
-        _set_residual(self, residual)
-        _set_residual_is_identity(self, residual_is_identity)
-        _set_is_vacuum(self, is_vacuum)
-        _set_flip_masks(self, flip_masks)
-
     @property
     def flips_first(self) -> dict:
         return _flip_dict(self.flip_masks[0])
@@ -279,35 +258,26 @@ class FusionResult:
         return _flip_dict(self.flip_masks[2])
 
 
-_set_same_family = FusionResult.same_family.__set__
-_set_shared_sites = FusionResult.shared_sites.__set__
-_set_residual = FusionResult.residual.__set__
-_set_residual_is_identity = FusionResult.residual_is_identity.__set__
-_set_is_vacuum = FusionResult.is_vacuum.__set__
-_set_flip_masks = FusionResult.flip_masks.__set__
-
-
 def fuse_check(layout: HoneycombLayout, s1: StringSpec,
                s2: StringSpec) -> FusionResult:
     """Fuse two strings and classify the composite channel.
 
-    The composite's flipped-plaquette pattern must be the symmetric
-    difference of the individual patterns (Z2 label addition): on the
-    flip bitmasks of :func:`_flip_masks` that is one XOR per family, and
-    a mismatch raises ``AssertionError``.  The vacuum channel is reached
-    when the composite commutes with every plaquette stabilizer, pair
-    annihilation being the special case where the residual operator is
-    the identity up to phase.
+    The composite's flipped-plaquette pattern is the symmetric
+    difference of the individual patterns (Z2 label addition): one XOR
+    per family of the flip bitmasks of :func:`_flip_masks`.  That
+    function XORs a column per set bit of the masks, and the product's
+    masks are the XOR of the parts' masks, so the XOR of the parts'
+    flips is the composite's, with no third pass.  The vacuum channel is
+    reached when the composite commutes with every plaquette stabilizer,
+    pair annihilation being the special case where the residual operator
+    is the identity up to phase.
     """
     if s1.operator.n_sites != s2.operator.n_sites:
         raise DimensionMismatchError("string registers differ")
     residual = multiply(s1.operator, s2.operator)
     f1 = _flip_masks(layout, s1.operator)
     f2 = _flip_masks(layout, s2.operator)
-    fc = _flip_masks(layout, residual)
-    if fc != (f1[0] ^ f2[0], f1[1] ^ f2[1]):
-        raise AssertionError("flip pattern is not the symmetric "
-                             "difference; phase bookkeeping broken")
+    fc = (f1[0] ^ f2[0], f1[1] ^ f2[1])
     return FusionResult(
         same_family=s1.family == s2.family,
         shared_sites=tuple(sorted(set(s1.sites) & set(s2.sites))),

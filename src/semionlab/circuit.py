@@ -268,12 +268,15 @@ def qnd_frequencies(e_c: float, n_g: float, omega_c: float, delta: float,
     ``omega_12 = 2 E_c (3 - 2 n_g) / hbar``; the drive sits at
     ``omega = omega_12 + omega_c + delta`` and the leakage detunings are
     checked against ``delta``: each must be at least ten times larger.
-    The charge regime holds while ``k_B T`` is at most a tenth of ``E_c``.
+    The charge regime holds while ``k_B T`` is at most a tenth of ``E_c``;
+    a negative ``temperature`` raises (0 K is valid).
     """
     if delta == 0:
         raise ZeroDivisionError("detuning delta must be nonzero")
     if g == 0:
         raise ValueError(f"coupling g must be nonzero, got {g}")
+    if temperature is not None and temperature < 0:
+        raise ValueError(f"temperature must be >= 0 K, got {temperature}")
     omega_01 = 2 * e_c * (1 - 2 * n_g) / HBAR
     omega_12 = 2 * e_c * (3 - 2 * n_g) / HBAR
     drive = omega_12 + omega_c + delta

@@ -467,12 +467,10 @@ def _to_json(obj, pad: str = "") -> str:
         starts = np.concatenate(([True], bits[1:] != bits[:-1]))
         # every value is some run's value, so the encoder sees (and
         # refuses) every non-finite one
-        body = _leaf_encoder(inner)(obj[starts].tolist())[1:-1]
-        if not starts.all():
-            counts = np.diff(np.flatnonzero(np.append(starts, True)))
-            body = "".join((text + sep) * count for text, count in
-                           zip(body.split(sep), counts.tolist()))
-            body = body[:-len(sep)]
+        runs = _leaf_encoder(inner)(obj[starts].tolist())[1:-1].split(sep)
+        counts = np.diff(np.flatnonzero(np.append(starts, True)))
+        body = "".join((text + sep) * count for text, count in
+                       zip(runs, counts.tolist()))[:-len(sep)]
         return f"[\n{inner}{body}\n{pad}]"
     inner = pad + "  "
     is_dict = isinstance(obj, dict)

@@ -214,8 +214,7 @@ class DiagonalOracle:
         for i, j in self.layout.square.bonds:
             bond_e += signs[:, i] * signs[:, j]
         # cross term: number of agreeing sites minus disagreeing ones
-        agree = self.n - 2 * np.bitwise_count(
-            configs[:, None] ^ configs[None, :]).astype(np.int64)
+        agree = signs @ signs.T
         energies = (-self.j_up * bond_e[:, None]
                     - self.j_down * bond_e[None, :]
                     + self.u * agree)

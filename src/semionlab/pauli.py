@@ -360,8 +360,10 @@ def apply_pauli_sum(terms, n_sites: int, amps: np.ndarray) -> np.ndarray:
     exactly.
 
     The first term writes the output and each later one is added from
-    one reused buffer.  Only the test reference ``HamiltonianTerms.apply``
-    calls it; the package's string operations work on a state's support.
+    one reused buffer.  The tests and ``HamiltonianTerms.apply`` call it
+    as the full-register reference for the package's string operations,
+    which work on a state's support; the half-register split and the
+    reused buffer are what keep those tests fast.
     """
     terms = list(terms)
     tensor = _site_tensor(amps, n_sites)

@@ -343,10 +343,9 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
                     f"plaquette {plq.index} ({family}) "
                     "annihilated the state")
     ground = _on_support(layout.n_sites, 1, idx, vals, rows).normalized()
-    values = ground.with_fixed_phase().values
-    if cavity_dim > 1:
-        values = np.concatenate(
-            (values, np.zeros((cavity_dim - 1) * idx.size, dtype=complex)))
+    values = np.concatenate((ground.with_fixed_phase().values,
+                             np.zeros((cavity_dim - 1) * idx.size,
+                                      dtype=complex)))
     return _on_support(layout.n_sites, cavity_dim, idx, values, rows)
 
 

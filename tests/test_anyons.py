@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import semionlab.anyons
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +14,7 @@ from semionlab.anyons import (
     ControlledString,
     QndParams,
     StringSpec,
+    _flip_masks,
     braid_phase,
     braid_phase_on_state,
     cavity_superposition,
@@ -79,6 +79,19 @@ class TestVortexMap:
         twice = apply_pauli(apply_pauli(ground, spec.operator), spec.operator)
         vm = vortex_map(twice, layout)
         assert vm.flipped_against(base) == {"up": (), "down": ()}
+
+    def test_maps_of_different_sizes_are_refused(self):
+        # 2x3 has 4 plaquettes and 2x4 has 6; zipping them compared the
+        # first 4 and read no flips either way
+        small = vortex_map(project_ground(build_layout(2, 3)),
+                           build_layout(2, 3))
+        large = vortex_map(project_ground(build_layout(2, 4)),
+                           build_layout(2, 4))
+        for a, b in ((small, large), (large, small)):
+            with pytest.raises(DimensionMismatchError, match=(
+                    f"vortex maps of {len(b.values)} and {len(a.values)} "
+                    "plaquettes")):
+                a.flipped_against(b)
 
     def test_values_real(self):
         layout = build_layout(1, 3)
@@ -222,34 +235,34 @@ class TestFusion:
 
 
     def test_flips_are_decoded_from_the_masks(self):
-        layout = build_layout(3, 3)
-        a = StringSpec.z_string(layout, (0, 5, 9, 14))
-        b = StringSpec.x_string(layout, (5, 7, 16))
-        res = fuse_check(layout, a, b)
-        flips = [predicted_flips(layout, op)
-                 for op in (a.operator, b.operator, res.residual)]
-        assert [res.flips_first, res.flips_second,
-                res.flips_composite] == flips
-        assert res.flip_masks == tuple(
-            tuple(sum(1 << k for k in f[fam]) for fam in ("up", "down"))
-            for f in flips)
-        assert res.is_vacuum == (flips[2] == {"up": (), "down": ()})
-
-    def test_broken_flip_pattern_raises(self, monkeypatch):
-        # a composite pattern that is not the XOR of the parts is refused
-        layout = build_layout(2, 3)
-        masks = semionlab.anyons._flip_masks
-        calls = []
-
-        def shifted(layout, op):
-            calls.append(op)
-            up, down = masks(layout, op)
-            return (up ^ 1, down) if len(calls) == 3 else (up, down)
-
-        monkeypatch.setattr(semionlab.anyons, "_flip_masks", shifted)
-        a = StringSpec.z_string(layout, (0, 1, 2))
-        with pytest.raises(AssertionError, match="symmetric difference"):
-            fuse_check(layout, a, a)
+        # seeded z, x and y string pairs: the composite's flips are the
+        # XOR of the parts', and equal the residual's own flips, decoded
+        # and checked plaquette by plaquette with ``commutes``
+        rng = np.random.default_rng(29)
+        builders = (StringSpec.z_string, StringSpec.x_string,
+                    StringSpec.y_string)
+        for dims in ((1, 2), (2, 3), (3, 3), (4, 4), (8, 8)):
+            layout = _layout(*dims)
+            plqs = layout.bond_plaquettes
+            for _ in range(12):
+                a, b = (builders[rng.integers(3)](layout, rng.choice(
+                    layout.n_sites, rng.integers(1, layout.n_sites + 1),
+                    replace=False).tolist()) for _ in range(2))
+                res = fuse_check(layout, a, b)
+                f1, f2 = (_flip_masks(layout, s.operator) for s in (a, b))
+                fc = _flip_masks(layout, res.residual)
+                assert res.flip_masks == (f1, f2, fc)
+                assert fc == (f1[0] ^ f2[0], f1[1] ^ f2[1])
+                flips = [predicted_flips(layout, op)
+                         for op in (a.operator, b.operator, res.residual)]
+                assert [res.flips_first, res.flips_second,
+                        res.flips_composite] == flips
+                assert flips[2] == {
+                    fam: tuple(p.index for p in plqs
+                               if not commutes(res.residual, getattr(p, fam)))
+                    for fam in ("up", "down")}
+                assert res.is_vacuum == (flips[2] == {"up": (), "down": ()})
+                assert res.same_family == (a.family == b.family)
 
 
 class TestQndGate:

@@ -280,6 +280,13 @@ class TestProtocolFrequencies:
         assert cold["k_b_T_over_E_c"] == pytest.approx(
             BOLTZMANN * 0.02 / e_c)
 
+    def test_negative_temperature_refused(self):
+        e_c = charging_energy(600 * ATTO)
+        with pytest.raises(ValueError, match="temperature must be >= 0 K"):
+            qnd_frequencies(e_c, 0.2, 1e9, 5e7, 1e8, temperature=-0.02)
+        zero = qnd_frequencies(e_c, 0.2, 1e9, 5e7, 1e8, temperature=0.0)
+        assert zero["regime_ok"] is True and zero["k_b_T_over_E_c"] == 0.0
+
     def test_resonance_round_trip(self):
         e_c = charging_energy(600 * ATTO)
         jc = jc_resonance(e_c, 0.3, omega_c=2e9)

@@ -437,6 +437,14 @@ class TestCircuit:
         assert err == (f"error: missing config keys: {missing} "
                        "(frequencies need omega_c, delta and g)\n")
 
+    def test_negative_temperature_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "c.json", {
+            **_CIRCUIT, "omega_c": 3e10, "delta": 1e9, "g": 1e8,
+            "temperature": -0.02})
+        code, out, err = run(["circuit", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: temperature must be >= 0 K, got -0.02\n"
+
     def test_zero_coupling_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
             "c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24, "beta": 0.05,

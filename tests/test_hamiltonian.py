@@ -64,6 +64,36 @@ class TestFermionOracle:
             assert energies[up * (1 << n) + dn] == \
                 pytest.approx(oracle.energy(up, dn))
 
+    @pytest.mark.parametrize("dims, draws", [((1, 4), 4), ((2, 3), 4),
+                                             ((3, 2), 3), ((2, 4), 2),
+                                             ((3, 3), 1), ((3, 4), 1)])
+    def test_cross_term_bit_identical_to_popcount(self, dims, draws):
+        # reference: the cross term as n - 2 * popcount(up ^ down), the
+        # energies rebuilt one block of up rows at a time (a 3x4 block
+        # is 16 MB) and compared bit for bit
+        rng = np.random.default_rng(dims[0] * 10 + dims[1])
+        layout = build_layout(*dims)
+        n = layout.square.n_sites
+        dim = 1 << n
+        configs = np.arange(dim, dtype=np.uint64)
+        signs = np.where((configs[:, None] >> np.arange(
+            n, dtype=np.uint64)) & np.uint64(1), 1.0, -1.0)
+        bond_e = np.zeros(dim)
+        for i, j in layout.square.bonds:
+            bond_e += signs[:, i] * signs[:, j]
+        for _ in range(draws):
+            j_up, j_down, u = rng.uniform(-2, 2, 3)
+            energies = DiagonalOracle(layout, j_up, j_down, u) \
+                .enumerate_energies().reshape(dim, dim)
+            for lo in range(0, dim, 512):
+                up = configs[lo:lo + 512]
+                agree = n - 2 * np.bitwise_count(
+                    up[:, None] ^ configs[None, :]).astype(np.int64)
+                want = (-j_up * bond_e[lo:lo + 512, None]
+                        - j_down * bond_e[None, :] + u * agree)
+                assert np.array_equal(energies[lo:lo + 512].view(np.int64),
+                                      want.view(np.int64))
+
     def test_device_diagonal_matches_oracle(self):
         # two independent constructions of the same model
         layout = build_layout(2, 2)

@@ -122,6 +122,14 @@ def test_ab_pass_counts_the_pairs_the_change_won():
     assert wins([], []) == 0
 
 
+def test_ab_pass_pairs_each_operation_before_the_median():
+    # the change took half the time in three of four pairs; the ratio
+    # of the unpaired medians, 2.5 / 3.0, would read 0.833
+    ratio = _load("ab_pass")._paired_ratio
+    assert ratio([1.0, 2.0, 4.0, 8.0], [0.5, 1.0, 16.0, 4.0]) == 0.5
+    assert ratio([2.0], [3.0]) == 1.5
+
+
 def test_cli_bytes_runs_each_refusal_of_the_parser_tests():
     spec = importlib.util.spec_from_file_location(
         "cli_tests", Path(__file__).resolve().parent / "test_cli.py")

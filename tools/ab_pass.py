@@ -16,9 +16,12 @@ in one process see the same drift, so their ratio keeps it out.
 Printed: the median of the per-pair ratios CHANGE / PARENT with its
 quartiles, the number of pairs the change ran faster in (a claimed gain
 is judged by the pairs it wins), the median pass time of each tree, and
-each operation's median time in both.  A pass whose checks fail is reported and ends the run
-with exit code 1.  BLAS and OpenMP are pinned to one thread, as in the
-benchmark worker.  Nothing else of ``perfbench`` is read.
+each operation's median time in both with the median over pairs of its
+own ratio CHANGE / PARENT.  The unpaired medians drift as whole passes
+do; the paired ratio names the operation that moved.  A pass whose
+checks fail is reported and ends the run with exit code 1.  BLAS and
+OpenMP are pinned to one thread, as in the benchmark worker.  Nothing
+else of ``perfbench`` is read.
 """
 
 from __future__ import annotations
@@ -121,6 +124,11 @@ def _wins(parent: list[float], change: list[float]) -> int:
     return sum(c < p for p, c in zip(parent, change))
 
 
+def _paired_ratio(parent: list[float], change: list[float]) -> float:
+    """The median over pairs of the ratio change / parent."""
+    return statistics.median(c / p for p, c in zip(parent, change))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -156,14 +164,18 @@ def main() -> int:
           f"{_wins(parent.pass_s, change.pass_s)} of {len(ratios)} pairs")
     print(f"median pass: parent {statistics.median(parent.pass_s) * 1e3:.2f}"
           f" ms, change {statistics.median(change.pass_s) * 1e3:.2f} ms")
-    print(f"{'operation':<28} {'parent ms':>10} {'change ms':>10}")
+    print(f"{'operation':<28} {'parent ms':>10} {'change ms':>10} "
+          f"{'paired':>8}")
     labels = list(parent.op_s) + [label for label in change.op_s
                                   if label not in parent.op_s]
     for label in labels:
         cells = [f"{statistics.median(tree.op_s[label]) * 1e3:10.3f}"
                  if label in tree.op_s else f"{'-':>10}"
                  for tree in (parent, change)]
-        print(f"{label:<28} {cells[0]} {cells[1]}")
+        times = parent.op_s.get(label), change.op_s.get(label)
+        paired = (f"{_paired_ratio(*times):8.3f}" if all(times)
+                  else f"{'-':>8}")
+        print(f"{label:<28} {cells[0]} {cells[1]} {paired}")
     return 0
 
 
