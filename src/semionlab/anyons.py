@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, _require_capacity
+from .errors import CapacityError, DimensionMismatchError
 from .lattice import DOWN, UP, HoneycombLayout
 from .operators import REP_HONEYCOMB, x_string_op
 from .pauli import (
@@ -338,43 +338,35 @@ def qnd_unitary(params: QndParams, n_c: int, n_qubits: int) -> PauliString:
                        3 * params.n * n_c)
 
 
-def _qnd_diagonal(params: QndParams, n_qubits: int,
-                  cavity_dim: int) -> np.ndarray:
-    """Diagonal of the dispersive Hamiltonian over cavity (x) qubits."""
-    mask = _site_mask(params.sites, n_qubits)
-    bits = np.arange(1 << n_qubits, dtype=np.uint64)
-    zsum = params.n - 2 * np.bitwise_count(bits & np.uint64(mask)).astype(
-        np.int64)
-    levels = np.arange(cavity_dim)
-    return params.chi * (levels[:, None] * zsum[None, :]).ravel()
-
-
 def qnd_closed_form_deviation(params: QndParams, n_qubits: int,
                               cavity_dim: int = 2) -> float:
     """Operator-norm gap between the exact evolution and the closed form.
 
-    Both operators are diagonal over cavity (x) qubits, so each is held
-    as its diagonal: the exact side is ``exp(-i tau d)`` taken elementwise
-    over the dispersive diagonal ``d``, the closed side is the factor of
-    :func:`qnd_unitary` of each photon sector at every qubit index (that
-    Z string applied to ones).  The operator norm of their difference is
-    its largest modulus.  Zero (to roundoff) at the canonical time.
+    Both operators are diagonal over cavity (x) qubits, and each entry
+    depends only on the photon level and on the count ``k`` of selected
+    sites set in the qubit index, so each is held as its ``cavity_dim x
+    (N + 1)`` distinct entries, read at one representative index per
+    ``k``: the ``k`` lowest selected sites set.  The exact side is
+    ``exp(-i tau chi n_c (N - 2k))``, the closed side the factor of
+    :func:`qnd_unitary` of each photon sector at the representatives
+    (that Z string applied to ones).  The operator norm of their
+    difference is its largest modulus.  Zero (to roundoff) at the
+    canonical time.  Nothing of size ``2**n_qubits`` is built, so any
+    register whose basis indices fit 64 bits is checked.
     """
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     if cavity_dim < 1:
         raise ValueError(f"cavity_dim must be >= 1, got {cavity_dim}")
-    dim = 1 << n_qubits
-    _require_capacity(cavity_dim * dim,
-                      f"dispersive diagonal over {cavity_dim} x {dim} states")
     _check_register(n_qubits, cavity_dim)
-    exact = np.exp(-1j * params.tau * _qnd_diagonal(params, n_qubits,
-                                                    cavity_dim))
+    _site_mask(params.sites, n_qubits)  # refuses sites outside the register
+    reps = np.cumsum([0] + [1 << s for s in params.sites])
+    levels = np.arange(cavity_dim)[:, None]
+    zsum = params.n - 2 * np.arange(params.n + 1)
+    exact = np.exp(-1j * params.tau * (params.chi * (levels * zsum)))
     canonical = QndParams.canonical(params.chi, params.sites)
-    qubits = np.arange(dim)
-    closed = np.concatenate([
-        _factor(qnd_unitary(canonical, n_c, n_qubits), qubits)
-        for n_c in range(cavity_dim)])
+    closed = [_factor(qnd_unitary(canonical, n_c, n_qubits), reps)
+              for n_c in range(cavity_dim)]
     return float(np.max(np.abs(exact - closed)))
 
 
@@ -484,22 +476,20 @@ def jc_swap(state: StateVector, omega: float, t: float,
     ``omega * sqrt(n+1)`` inside the truncated cavity space (the qubit
     bit value 1 is the excited state).  At ``t = pi/(2 omega)`` a single
     excitation transfers completely, picking up the ``-i`` phase of the
-    chosen coupling sign.
+    chosen coupling sign.  The evolution runs on the dense amplitudes,
+    viewed as ``(cavity_dim, high bits, qubit bit, low bits)`` so that
+    each level pair mixes two slices of that view, one per bit value.
     """
     if state.cavity_dim < 2:
         raise CapacityError("exchange evolution needs a cavity register")
     if not 0 <= qubit < state.n_qubits:
         raise DimensionMismatchError(f"qubit {qubit} outside register")
     blocks = state.blocks()
-    dim = state.qubit_dim
-    bit = 1 << qubit
-    excited = np.flatnonzero(np.arange(dim) & bit)
-    ground = excited ^ bit
+    pairs = blocks.reshape(state.cavity_dim, -1, 2, 1 << qubit)
     for n in range(state.cavity_dim - 1):
         theta = omega * math.sqrt(n + 1) * t
         c, s = math.cos(theta), math.sin(theta)
-        upper = blocks[n, excited].copy()
-        lower = blocks[n + 1, ground].copy()
-        blocks[n, excited] = c * upper - 1j * s * lower
-        blocks[n + 1, ground] = -1j * s * upper + c * lower
+        upper, lower = pairs[n, :, 1], pairs[n + 1, :, 0]
+        upper[...], lower[...] = (c * upper - 1j * s * lower,
+                                  -1j * s * upper + c * lower)
     return StateVector(state.n_qubits, state.cavity_dim, blocks.ravel())

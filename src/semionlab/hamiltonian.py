@@ -213,11 +213,13 @@ class DiagonalOracle:
         bond_e = np.zeros(dim)
         for i, j in self.layout.square.bonds:
             bond_e += signs[:, i] * signs[:, j]
-        # cross term: number of agreeing sites minus disagreeing ones
+        # cross term: number of agreeing sites minus disagreeing ones,
+        # scaled and added in place so the peak is twice the result
         agree = signs @ signs.T
         energies = (-self.j_up * bond_e[:, None]
-                    - self.j_down * bond_e[None, :]
-                    + self.u * agree)
+                    - self.j_down * bond_e[None, :])
+        agree *= self.u
+        energies += agree
         return energies.ravel()
 
     def sorted_spectrum(self) -> np.ndarray:
@@ -338,7 +340,9 @@ def ground_sector(ham: HamiltonianTerms) -> tuple[PauliString, float, int]:
     ``w & v``; back substitution on the rows, last row first, flips a
     row's leading bit of ``w`` until that parity matches the pattern's
     on the row's dep (later rows never hold an earlier row's leading
-    bit).  Raises as :func:`spectrum` does.
+    bit).  ``move`` carries the representation tag of the tagged terms,
+    or ``ham.rep`` when no term is tagged.  Raises as :func:`spectrum`
+    does.
     """
     n = ham.n_sites
     rows, levels = _levels(ham)
@@ -350,5 +354,8 @@ def ground_sector(ham: HamiltonianTerms) -> tuple[PauliString, float, int]:
     x, z = w & (1 << n) - 1, w >> n
     energy = float(levels[pattern])
     degeneracy = int(np.count_nonzero(levels <= energy + 1e-8))
-    return (PauliString(n, x, z, (x & z).bit_count(), ham.rep), energy,
+    # _levels has checked that the tagged terms share one tag
+    rep = next((op.rep for _, op in ham.terms if op.rep is not None),
+               ham.rep)
+    return (PauliString(n, x, z, (x & z).bit_count(), rep), energy,
             degeneracy << n - len(rows))

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,9 +33,11 @@ from semionlab.errors import (
     RepresentationError,
 )
 from semionlab.lattice import BLACK, WHITE, build_layout
+from semionlab.operators import x_string_op
 from semionlab.pauli import PauliString, commutes
 from semionlab.states import (
     StateVector,
+    _factor,
     apply_pauli,
     basis_state,
     expectation,
@@ -345,6 +348,53 @@ class TestQndGate:
         params = QndParams.canonical(1.0, (0, 5))
         assert qnd_closed_form_deviation(params, 11, 3) < 1e-12
 
+    @staticmethod
+    def _full_diagonal_deviation(params, n, cavity_dim):
+        # the whole 2**n qubit diagonal of each sector: popcount of every
+        # index, the exact exponential and the closed-form factor
+        mask = sum(1 << s for s in params.sites)
+        bits = np.arange(1 << n, dtype=np.uint64)
+        zsum = params.n - 2 * np.bitwise_count(
+            bits & np.uint64(mask)).astype(np.int64)
+        levels = np.arange(cavity_dim)
+        diag = params.chi * (levels[:, None] * zsum[None, :]).ravel()
+        exact = np.exp(-1j * params.tau * diag)
+        canonical = QndParams.canonical(params.chi, params.sites)
+        qubits = np.arange(1 << n)
+        closed = np.concatenate([
+            _factor(qnd_unitary(canonical, n_c, n), qubits)
+            for n_c in range(cavity_dim)])
+        return float(np.max(np.abs(exact - closed)))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_deviation_bit_identical_to_the_full_diagonal(self, n):
+        rng = np.random.default_rng(300 + n)
+        for cavity_dim in range(1, 5):
+            for canonical in (True, False):
+                for _ in range(6):
+                    chi = rng.uniform(0.2, 2.0) * rng.choice((-1.0, 1.0))
+                    # repeated sites collapse to one
+                    sites = tuple(int(s) for s in rng.integers(
+                        0, n, size=rng.integers(1, n + 2)))
+                    tau = math.pi / (2 * chi) if canonical else \
+                        rng.uniform(-3.0, 3.0)
+                    params = QndParams(chi, tau, sites)
+                    got = qnd_closed_form_deviation(params, n, cavity_dim)
+                    want = self._full_diagonal_deviation(params, n,
+                                                         cavity_dim)
+                    assert got.hex() == want.hex()
+
+    def test_deviation_at_forty_qubits_holds_no_register_array(self):
+        params = QndParams.canonical(1.3, (0, 7, 19, 33, 39))
+        tracemalloc.start()
+        try:
+            dev = qnd_closed_form_deviation(params, 40, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dev < 1e-12
+        assert peak < 64 * 1024
+
     def test_independent_matrix_oracle(self):
         # full-space exponential built from scratch, not via the module
         n = 3
@@ -524,6 +574,44 @@ class TestJaynesCummingsSwap:
         st = StateVector(1, cav, psi)
         got = jc_swap(st, omega, t).amplitudes
         assert np.max(np.abs(got - want)) < 1e-12
+
+    @staticmethod
+    def _index_array_swap(state, omega, t, qubit):
+        # each level pair mixed through arrays of the excited indices
+        # and their ground partners
+        blocks = state.blocks()
+        bit = 1 << qubit
+        excited = np.flatnonzero(np.arange(state.qubit_dim) & bit)
+        ground = excited ^ bit
+        for n in range(state.cavity_dim - 1):
+            theta = omega * math.sqrt(n + 1) * t
+            c, s = math.cos(theta), math.sin(theta)
+            upper = blocks[n, excited].copy()
+            lower = blocks[n + 1, ground].copy()
+            blocks[n, excited] = c * upper - 1j * s * lower
+            blocks[n + 1, ground] = -1j * s * upper + c * lower
+        return StateVector(state.n_qubits, state.cavity_dim, blocks.ravel())
+
+    def _assert_bit_identical(self, state):
+        for omega, t in ((0.9, math.pi / 1.8), (1.3, 2.1), (-0.4, 0.77)):
+            for qubit in range(state.n_qubits):
+                got = jc_swap(state, omega, t, qubit).amplitudes
+                want = self._index_array_swap(state, omega, t,
+                                              qubit).amplitudes
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_bit_identical_to_index_arrays_on_dense_states(self, n):
+        rng = np.random.default_rng(500 + n)
+        for cavity_dim in range(2, 6):
+            self._assert_bit_identical(random_state(n, cavity_dim, rng))
+
+    def test_bit_identical_to_index_arrays_on_a_coset_state(self):
+        layout = _layout(2, 3)
+        ground = project_ground(layout, cavity_dim=3)
+        self._assert_bit_identical(
+            apply_pauli(ground, x_string_op(layout, 2, BLACK)))
 
     def test_requires_cavity(self):
         with pytest.raises(CapacityError):

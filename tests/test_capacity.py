@@ -36,8 +36,6 @@ CASES = {
     "dense_matrix_13_qubits": partial(dense_matrix, _one_z_term(13)),
     "oracle_1x13": DiagonalOracle(
         build_layout(1, 13), 1.0, 1.0, 1.0).enumerate_energies,
-    "qnd_deviation_n23_cavity3": partial(
-        qnd_closed_form_deviation, QndParams.canonical(1.0, (0, 5)), 23, 3),
     "basis_state_25": partial(basis_state, 25),
     "spectrum_1x13": partial(
         spectrum, build_spin_hamiltonian(build_layout(1, 13), 1.0, 1.0, 1.0)),

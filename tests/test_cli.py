@@ -346,6 +346,17 @@ class TestQnd:
         assert proc.stderr.count("\n") == 1 and "chi" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_register_over_the_budget_rejected(self, tmp_path, capsys):
+        # the deviation check holds no register array; the random state
+        # over 2 x 2**25 amplitudes is what the budget refuses
+        cfg = write_config(tmp_path, "q.json",
+                           {"n_qubits": 25, "sites": [0, 24]})
+        code, out, err = run(["qnd", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: state over 2 x 2**25 needs 67108864 "
+                              "elements, over the dense budget of ")
+
     def test_site_outside_register_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "q.json",
                            {"n_qubits": 4, "sites": [-1, 2]})

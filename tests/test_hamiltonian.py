@@ -1,6 +1,7 @@
 """Hamiltonian builders against the diagonal enumeration oracle."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ class TestFermionOracle:
                         - j_down * bond_e[None, :] + u * agree)
                 assert np.array_equal(energies[lo:lo + 512].view(np.int64),
                                       want.view(np.int64))
+
+    @pytest.mark.parametrize("dims", [(3, 3), (2, 4)])
+    def test_enumeration_peaks_near_twice_its_result(self, dims):
+        # the result and the cross term, plus numpy's iterator buffers of
+        # the broadcast (64 KiB per broadcast operand, at any size)
+        oracle = DiagonalOracle(build_layout(*dims), 0.9, -1.4, 0.6)
+        tracemalloc.start()
+        try:
+            energies = oracle.enumerate_energies()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * energies.nbytes + (256 << 10)
 
     def test_device_diagonal_matches_oracle(self):
         # two independent constructions of the same model

@@ -29,12 +29,13 @@ from semionlab.anyons import (
 )
 from semionlab.hamiltonian import (
     DiagonalOracle,
+    HamiltonianTerms,
     build_spin_hamiltonian,
     ground_sector,
     spectrum,
 )
 from semionlab.lattice import BLACK, DOWN, UP, WHITE, build_layout
-from semionlab.operators import link_zz_op, z_op
+from semionlab.operators import REP_HONEYCOMB, link_zz_op, z_op
 from semionlab.pauli import (
     PauliString,
     _gf2_reduce,
@@ -583,6 +584,16 @@ class TestGroundSector:
             for k, (w, wt) in enumerate(vortex_map(state, layout).values):
                 assert abs(w - (-1) ** (k in flips[UP])) < 1e-12
                 assert abs(wt - (-1) ** (k in flips[DOWN])) < 1e-12
+
+    def test_move_carries_the_tag_of_the_terms(self):
+        # the list's own label is free; the move is tagged as its terms
+        layout = build_layout(2, 3)
+        ham = build_spin_hamiltonian(layout, 1.0, -0.5, 0.3)
+        relabelled = HamiltonianTerms("spin", ham.n_sites, ham.terms)
+        move, _, _ = ground_sector(relabelled)
+        assert move.rep == REP_HONEYCOMB
+        assert predicted_flips(layout, move) == \
+            predicted_flips(layout, ground_sector(ham)[0])
 
     def test_positive_couplings_move_nothing(self):
         move, _, _ = ground_sector(

@@ -157,3 +157,21 @@ def test_cli_bytes_names_what_differs_in_an_argv_run():
     assert tool._difference("readme:ground", "json", old, new) == (
         "DIFF readme:ground --format json: exit 0 -> 0; stdout keys "
         "['energy'] (largest relative change 0.17); stderr differs")
+
+
+def test_cli_bytes_runs_both_qnd_edges():
+    tool = _load("cli_bytes")
+    runs = {label: (command, cfg)
+            for label, command, cfg, _ in tool._all_runs(TOOLS.parent)}
+    assert runs["edge:qnd:over-budget"] == \
+        ("qnd", {"n_qubits": 25, "sites": [0, 24]})
+    assert runs["edge:qnd:in-budget"][1]["cavity_levels"] == 4
+
+
+def test_cli_bytes_names_no_stdout_key_when_only_stderr_differs():
+    from subprocess import CompletedProcess
+    old = CompletedProcess([], 2, b"", b"error: a\n")
+    new = CompletedProcess([], 2, b"", b"error: b\n")
+    assert _load("cli_bytes")._difference("edge:qnd:x", "csv", old, new) == \
+        "DIFF edge:qnd:x --format csv: exit 2 -> 2; stdout keys []; " \
+        "stderr differs"

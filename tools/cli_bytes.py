@@ -14,7 +14,9 @@ first on ``PYTHONPATH``) runs on a fixed set of configs, each once with
 - the example config of each command in the README;
 - a fixed list of ``ground`` configs with signed couplings;
 - a fixed list of ``circuit`` edge configs: very strong coupling, a
-  determinant that underflows, and a partial set of frequency keys.
+  determinant that underflows, and a partial set of frequency keys;
+- a fixed list of ``qnd`` edge configs: a register over the dense
+  budget and one inside it with four cavity levels.
 
 Then each tree runs a fixed list of argv forms on one small ``lattice``
 config: help, the version, prefix and ``=`` forms (an ``=`` value of
@@ -25,12 +27,13 @@ compared byte for byte.  A config run that differs is printed with what
 differs: the exit codes, the report keys whose values differ (JSON paths
 with list positions folded to ``[]``, compared as the list of values at
 each path, or CSV first cells, compared as the list of lines that start
-with each; ``(no output)`` when either stdout is empty), the largest relative change of a number that sits at the
-same place on both sides (the same JSON path, or the same cell of the
-lines under the same CSV first cell), when one moved, and whether stderr
-differs; an argv run that differs, with its exit codes and whether
-stdout and stderr differ.  The exit code is 1 if any run differs, else
-0.  BLAS and OpenMP are pinned to one thread.
+with each; ``(no output)`` when one stdout only is empty), the largest
+relative change of a number that sits at the same place on both sides
+(the same JSON path, or the same cell of the lines under the same CSV
+first cell), when one moved, and whether stderr differs; an argv run
+that differs, with its exit codes and whether stdout and stderr differ.
+The exit code is 1 if any run differs, else 0.  BLAS and OpenMP are
+pinned to one thread.
 """
 
 from __future__ import annotations
@@ -94,6 +97,13 @@ CIRCUIT_EDGES = (
                              "beta": 0.05, "omega_c": 3e10, "delta": 1e9}),
 )
 
+# (label, config): 2 x 2**25 states, over the dense budget, and
+# 4 x 2**18 states, inside it.
+QND_EDGES = (
+    ("over-budget", {"n_qubits": 25, "sites": [0, 24]}),
+    ("in-budget", {"n_qubits": 18, "sites": [0, 5, 17],
+                   "cavity_levels": 4}),
+)
 
 # (label, argv) run in the work directory, CONFIG standing for the path
 # of a 1x2 lattice config.  The refusals are those of the CLI parser
@@ -162,6 +172,8 @@ def _all_runs(parent: Path) -> list[tuple[str, str, dict, int]]:
              for r, c, j_up, j_down, u in SIGNED_GROUND]
     runs += [(f"edge:circuit:{label}", "circuit", cfg, 0)
              for label, cfg in CIRCUIT_EDGES]
+    runs += [(f"edge:qnd:{label}", "qnd", cfg, 0)
+             for label, cfg in QND_EDGES]
     return runs
 
 
@@ -225,9 +237,12 @@ def _groups(fmt: str, out: bytes) -> dict:
 def _differing_keys(fmt: str, a: bytes, b: bytes) -> list[str]:
     """The report keys whose values differ between two stdouts: the JSON
     paths whose lists of values differ, or the first cells whose lists of
-    CSV lines differ, so a change at one key names that key alone.  An
-    empty stdout on either side (a refused run) gives ``(no output)``,
-    not the keys of the other side's whole report."""
+    CSV lines differ, so a change at one key names that key alone.  Two
+    equal stdouts give none.  An empty stdout on one side only (a refused
+    run) gives ``(no output)``, not the keys of the other side's whole
+    report."""
+    if a == b:
+        return []
     if not a or not b:
         return ["(no output)"]
     try:
