@@ -61,7 +61,7 @@ rng = np.random.default_rng(1)
 qubits = random_state(4, rng=rng)
 sites = (0, 3)
 s = 1 / math.sqrt(2)
-out = ControlledString(s, s, sites).apply(cavity_superposition(qubits, s, s))
+out = ControlledString(sites).apply(cavity_superposition(qubits, s, s))
 coherence = complex(np.vdot(out.blocks()[0], out.blocks()[1]))
 direct = expectation(qubits, PauliString(4, 0, 0b1001, 0)).real
 print("random state: inferred", (2 * coherence * 1j ** len(sites)).real,

@@ -270,10 +270,9 @@ def fuse_check(layout: HoneycombLayout, s1: StringSpec,
     flips is the composite's, with no third pass.  The vacuum channel is
     reached when the composite commutes with every plaquette stabilizer,
     pair annihilation being the special case where the residual operator
-    is the identity up to phase.
+    is the identity up to phase.  Strings on registers of different
+    sizes raise ``DimensionMismatchError`` from the product.
     """
-    if s1.operator.n_sites != s2.operator.n_sites:
-        raise DimensionMismatchError("string registers differ")
     residual = multiply(s1.operator, s2.operator)
     f1 = _flip_masks(layout, s1.operator)
     f2 = _flip_masks(layout, s2.operator)
@@ -372,20 +371,15 @@ def qnd_closed_form_deviation(params: QndParams, n_qubits: int,
 
 @dataclass(frozen=True)
 class ControlledString:
-    """Photon-number-conditioned Z string.
+    """Photon-number-conditioned Z string on ``sites``.
 
-    ``mu`` and ``nu`` describe the prepared cavity superposition (they
-    must be consistent with a normalized photon state); the gate itself
-    is the sector-conditioned unitary and does not depend on them.
+    The gate is the sector-conditioned unitary; the cavity superposition
+    it acts on is prepared apart (:func:`cavity_superposition`).
     """
 
-    mu: complex
-    nu: complex
     sites: tuple[int, ...]
 
     def __post_init__(self):
-        if abs(abs(self.mu) ** 2 + abs(self.nu) ** 2 - 1.0) > 1e-9:
-            raise ValueError("|mu|^2 + |nu|^2 must be 1")
         object.__setattr__(self, "sites", tuple(sorted(set(self.sites))))
 
     def apply(self, state: StateVector) -> StateVector:
@@ -456,7 +450,7 @@ def _zero_photon_readout(state: StateVector,
 
     s = 1.0 / math.sqrt(2.0)
     prepared = cavity_superposition(qubits, s, s)
-    gate = ControlledString(s, s, tuple(sites))
+    gate = ControlledString(tuple(sites))
     evolved = gate.apply(prepared)
 
     coherence = overlap(_cavity_block(evolved, 0), _cavity_block(evolved, 1))

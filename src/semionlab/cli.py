@@ -80,8 +80,6 @@ def _is_finite(value) -> bool:
 _KINDS = {
     "int": ("an integer", _is_int),
     "number": ("a finite number", _is_finite),
-    "number_or_null": ("a finite number or null",
-                       lambda v: v is None or _is_finite(v)),
     "tolerance": ("a finite number > 0",
                   lambda v: _is_finite(v) and v > 0),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
@@ -105,10 +103,9 @@ _SCHEMAS = {
             {"chi": "number", "tau": "number", "cavity_levels": "int",
              "tolerance": "tolerance"}),
     "circuit": ({"c_g": "number", "c_j": "number", "e_j": "number"},
-                {"n_g": "number", "c_c": "number", "beta": "number",
-                 "c_a": "number", "c_b": "number", "omega_c": "number",
-                 "delta": "number", "g": "number",
-                 "temperature": "number_or_null"}),
+                {"n_g": "number", "beta": "number", "c_a": "number",
+                 "c_b": "number", "omega_c": "number", "delta": "number",
+                 "g": "number", "temperature": "number"}),
 }
 
 
@@ -176,6 +173,10 @@ def run_lattice(cfg: dict, args) -> tuple[dict, bool]:
 
 
 def run_spectrum(cfg: dict, args) -> tuple[dict, bool]:
+    unread = sorted(_COUPLINGS.keys() & cfg.keys())
+    if unread and "random_trials" in cfg:
+        raise ConfigError("random_trials draws its own couplings; "
+                          f"remove {unread}")
     layout = build_layout(int(cfg["rows"]), int(cfg["cols"]))
     tol = float(cfg.get("tolerance", 1e-10))
     rng = np.random.default_rng(args.seed)
@@ -316,12 +317,8 @@ _FREQUENCY_KEYS = {"omega_c", "delta", "g"}
 def run_circuit(cfg: dict, args) -> tuple[dict, bool]:
     dev = DeviceParams(float(cfg["c_g"]), float(cfg["c_j"]),
                        float(cfg["e_j"]), float(cfg.get("n_g", 0.5)))
-    if "beta" in cfg:
-        c_c = float(cfg["beta"]) * dev.c_0
-    else:
-        c_c = float(cfg.get("c_c", 0.0))
-    net = DeviceNetwork(dev, dev, c_c, float(cfg.get("c_a", 0.0)),
-                        float(cfg.get("c_b", 0.0)))
+    net = DeviceNetwork(dev, dev, float(cfg.get("beta", 0.0)) * dev.c_0,
+                        float(cfg.get("c_a", 0.0)), float(cfg.get("c_b", 0.0)))
     if net.c_a or net.c_b:
         couplings = chain_couplings(net)
     else:

@@ -59,25 +59,40 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HamiltonianTerms:
-    """Weighted list of Pauli strings sharing one register."""
+    """Weighted list of Pauli strings sharing one register.
 
-    rep: str
+    The terms carry at most one representation tag between them: a
+    second tag raises ``RepresentationError``, naming the first tag and
+    the first other tag in term order.
+    """
+
     n_sites: int
     terms: tuple[tuple[float, PauliString], ...]
 
     def __post_init__(self):
+        first = None  # the first tagged term
         for coeff, op in self.terms:
             if op.n_sites != self.n_sites:
                 raise ValueError("term size mismatch")
             if not op.is_hermitian():
                 raise ValueError(f"non-Hermitian term {op}")
+            if op.rep is None:
+                continue
+            if first is None:
+                first = op
+            elif op.rep != first.rep:
+                _check_compatible(first, op)  # raises
+
+    @property
+    def rep(self) -> str | None:
+        """The tag of the tagged terms, ``None`` when no term is tagged."""
+        return next((op.rep for _, op in self.terms if op.rep is not None),
+                    None)
 
     def all_terms_commute(self) -> bool:
         """True iff every pair of terms commutes.
 
-        Mixed representation tags raise ``RepresentationError`` first,
-        naming the first tag and the first other tag in term order.  Two
-        terms commute iff ``x_mask << n | z_mask`` of one and
+        Two terms commute iff ``x_mask << n | z_mask`` of one and
         ``z_mask << n | x_mask`` of the other share an even number of
         bits (the symplectic product): with X on site ``j`` a term
         anticommutes with each term that has Z there, and with Z on site
@@ -93,10 +108,6 @@ class HamiltonianTerms:
         steps per set bit, so the whole check grows with the total term
         weight, not with the number of pairs.
         """
-        tagged = [op for _, op in self.terms if op.rep is not None]
-        for op in tagged:
-            if op.rep != tagged[0].rep:
-                _check_compatible(tagged[0], op)  # raises
         x_cols = [0] * self.n_sites
         z_cols = [0] * self.n_sites
         term = 1
@@ -143,7 +154,7 @@ def build_spin_hamiltonian(layout: HoneycombLayout, j_up: float,
              + [(-j_down, plq.down) for plq in plqs]
              + [(-u, PauliString(n, 0, 1 << b | 1 << w, 0, REP_HONEYCOMB))
                 for b, w in zip(layout._black, layout._white)])
-    return HamiltonianTerms(REP_HONEYCOMB, n, tuple(terms))
+    return HamiltonianTerms(n, tuple(terms))
 
 
 def build_device_hamiltonian(layout: HoneycombLayout, j_up: float,
@@ -167,7 +178,7 @@ def build_device_hamiltonian(layout: HoneycombLayout, j_up: float,
             n, {device_qubit(site, CHAIN_A): "Z",
                 device_qubit(site, CHAIN_B): "Z"}, REP_DEVICE)
         terms.append((u, op))
-    return HamiltonianTerms(REP_DEVICE, n, tuple(terms))
+    return HamiltonianTerms(n, tuple(terms))
 
 
 class DiagonalOracle:
@@ -340,9 +351,8 @@ def ground_sector(ham: HamiltonianTerms) -> tuple[PauliString, float, int]:
     ``w & v``; back substitution on the rows, last row first, flips a
     row's leading bit of ``w`` until that parity matches the pattern's
     on the row's dep (later rows never hold an earlier row's leading
-    bit).  ``move`` carries the representation tag of the tagged terms,
-    or ``ham.rep`` when no term is tagged.  Raises as :func:`spectrum`
-    does.
+    bit).  ``move`` carries the terms' tag, ``ham.rep``.  Raises as
+    :func:`spectrum` does.
     """
     n = ham.n_sites
     rows, levels = _levels(ham)
@@ -354,8 +364,5 @@ def ground_sector(ham: HamiltonianTerms) -> tuple[PauliString, float, int]:
     x, z = w & (1 << n) - 1, w >> n
     energy = float(levels[pattern])
     degeneracy = int(np.count_nonzero(levels <= energy + 1e-8))
-    # _levels has checked that the tagged terms share one tag
-    rep = next((op.rep for _, op in ham.terms if op.rep is not None),
-               ham.rep)
-    return (PauliString(n, x, z, (x & z).bit_count(), rep), energy,
+    return (PauliString(n, x, z, (x & z).bit_count(), ham.rep), energy,
             degeneracy << n - len(rows))

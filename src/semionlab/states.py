@@ -209,9 +209,12 @@ def basis_state(n_qubits: int, bits: int = 0, cavity_dim: int = 1,
         raise DimensionMismatchError(f"bits {bits} outside register")
     if not 0 <= cavity_level < cavity_dim:
         raise DimensionMismatchError("cavity level outside truncation")
-    amps = np.zeros(_amplitude_count(n_qubits, cavity_dim), dtype=complex)
-    amps[cavity_level * (1 << n_qubits) + bits] = 1.0
-    return StateVector(n_qubits, cavity_dim, amps)
+    _check_register(n_qubits, cavity_dim)  # before bits go into an int64
+    # a coset of one index: one amplitude per cavity level
+    values = np.zeros(cavity_dim, dtype=complex)
+    values[cavity_level] = 1.0
+    return _on_support(n_qubits, cavity_dim, np.array([bits], dtype=np.int64),
+                       values, ())
 
 
 def random_state(n_qubits: int, cavity_dim: int = 1,

@@ -211,7 +211,7 @@ def test_interferometry_consistency():
         sites = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
         qubits = random_state(n, rng=rng)
         s = 1 / math.sqrt(2)
-        evolved = ControlledString(s, s, sites).apply(
+        evolved = ControlledString(sites).apply(
             cavity_superposition(qubits, s, s))
         blocks = evolved.blocks()
         coherence = complex(np.vdot(blocks[0], blocks[1]))

@@ -1,5 +1,6 @@
 """Strings, braiding phases, the conditioned-string protocol, ancilla swap."""
 
+import dataclasses
 import functools
 import math
 import tracemalloc
@@ -236,6 +237,11 @@ class TestFusion:
         assert not res.is_vacuum
         assert res.flips_composite["up"] or res.flips_composite["down"]
 
+    def test_strings_on_different_registers_raise(self):
+        a = StringSpec.z_string(build_layout(2, 3), (0, 1))
+        b = StringSpec.z_string(build_layout(2, 4), (0, 1))
+        with pytest.raises(DimensionMismatchError):
+            fuse_check(build_layout(2, 3), a, b)
 
     def test_flips_are_decoded_from_the_masks(self):
         # seeded z, x and y string pairs: the composite's flips are the
@@ -423,7 +429,7 @@ class TestControlledString:
         qubits = random_state(n, rng=np.random.default_rng(1))
         st = StateVector(n, 2, np.concatenate(
             [np.zeros(1 << n), qubits.amplitudes]))
-        out = ControlledString(0, 1, sites).apply(st)
+        out = ControlledString(sites).apply(st)
         u1 = qnd_unitary(QndParams.canonical(1.0, sites), 1, n)
         want = apply_pauli(qubits, u1)
         assert np.allclose(out.blocks()[1], want.amplitudes)
@@ -442,7 +448,7 @@ class TestControlledString:
         n = 2
         qubits = random_state(n, rng=np.random.default_rng(2))
         st = cavity_superposition(qubits, 1, 0)
-        out = ControlledString(1, 0, (0, 1)).apply(st)
+        out = ControlledString((0, 1)).apply(st)
         assert np.allclose(out.amplitudes, st.amplitudes)
 
     def test_coherence_tracks_string_eigenvalue(self):
@@ -454,24 +460,45 @@ class TestControlledString:
             qubits = basis_state(n, bits)
             st = cavity_superposition(qubits, 1 / math.sqrt(2),
                                       1 / math.sqrt(2))
-            out = ControlledString(1 / math.sqrt(2), 1 / math.sqrt(2),
-                                   sites).apply(st)
+            out = ControlledString(sites).apply(st)
             coh = complex(np.vdot(out.blocks()[0], out.blocks()[1]))
             want = 0.5 * ((-1j) ** len(sites)) * w
             assert abs(coh - want) < 1e-12
 
-    def test_unnormalized_preparation_rejected(self):
-        with pytest.raises(ValueError):
-            ControlledString(1.0, 1.0, (0,))
-
     def test_requires_cavity(self):
         st = basis_state(2)
         with pytest.raises(CapacityError):
-            ControlledString(1, 0, (0,)).apply(st)
+            ControlledString((0,)).apply(st)
+
+    def test_the_gate_holds_only_its_sites(self):
+        gate = ControlledString((3, 1, 3))
+        assert [f.name for f in dataclasses.fields(gate)] == ["sites"]
+        assert gate.sites == (1, 3)
+
+    @pytest.mark.parametrize("coset", [False, True])
+    def test_bit_identical_to_per_level_factors(self, coset):
+        # the reference: sector n_c times the factors of the n_c-photon
+        # unitary, written out level by level
+        if coset:
+            layout = build_layout(2, 3)
+            st = cavity_superposition(project_ground(layout), 0.6, 0.8j)
+            sites = (0, 3, 4, 9)
+        else:
+            st = random_state(5, cavity_dim=4, rng=np.random.default_rng(8))
+            sites = (1, 2, 4)
+        params = QndParams.canonical(1.0, sites)
+        want = st.values.reshape(st.cavity_dim, -1).copy()
+        for n_c in range(1, st.cavity_dim):
+            want[n_c] *= _factor(qnd_unitary(params, n_c, st.n_qubits),
+                                 st.index)
+        out = ControlledString(sites).apply(st)
+        assert np.array_equal(out.index, st.index) and out.rows == st.rows
+        assert np.array_equal(out.values.view(np.float64),
+                              want.ravel().view(np.float64))
 
     def test_norm_preserved(self):
         st = random_state(4, cavity_dim=3, rng=np.random.default_rng(3))
-        out = ControlledString(1, 0, (1, 2, 3)).apply(st)
+        out = ControlledString((1, 2, 3)).apply(st)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
 
     def test_four_level_cavity_matches_repeated_one_photon_gate(self):
@@ -481,7 +508,7 @@ class TestControlledString:
         for sites in ((0, 2, 3), (1, 3)):
             u1 = qnd_unitary(QndParams.canonical(1.0, sites), 1,
                              n).to_matrix()
-            out = ControlledString(1, 0, sites).apply(st)
+            out = ControlledString(sites).apply(st)
             for n_c in range(4):
                 want = np.linalg.matrix_power(u1, n_c) @ st.blocks()[n_c]
                 assert np.max(np.abs(out.blocks()[n_c] - want)) < 1e-14

@@ -25,8 +25,7 @@ from semionlab.states import basis_state, project_ground, random_state
 
 
 def _one_z_term(n: int) -> HamiltonianTerms:
-    return HamiltonianTerms("honeycomb_spin", n,
-                            ((1.0, PauliString.single(n, 0, "Z")),))
+    return HamiltonianTerms(n, ((1.0, PauliString.single(n, 0, "Z")),))
 
 
 # Every guarded entry point, one size past the budget.  Each guard stands
@@ -36,7 +35,6 @@ CASES = {
     "dense_matrix_13_qubits": partial(dense_matrix, _one_z_term(13)),
     "oracle_1x13": DiagonalOracle(
         build_layout(1, 13), 1.0, 1.0, 1.0).enumerate_energies,
-    "basis_state_25": partial(basis_state, 25),
     "spectrum_1x13": partial(
         spectrum, build_spin_hamiltonian(build_layout(1, 13), 1.0, 1.0, 1.0)),
     # the smallest lattice whose ground-state support, 2**25 entries,

@@ -153,6 +153,18 @@ class TestSpectrum:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert limit in err
 
+    @pytest.mark.parametrize("couplings", [
+        {"j_up": -5}, {"j_down": 3, "u": 7}, {"j_up": -5, "j_down": 3, "u": 7}])
+    def test_random_trials_with_couplings_exit_2(self, tmp_path, capsys,
+                                                 couplings):
+        # refused before the lattice is built, which 100x100 would fail
+        cfg = write_config(tmp_path, "spec.json", {
+            "rows": 100, "cols": 100, "random_trials": 1, **couplings})
+        code, out, err = run(["spectrum", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: random_trials draws its own couplings; "
+                       f"remove {sorted(couplings)}\n")
+
     def test_random_trials_deterministic_under_seed(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "spec.json",
                            {"rows": 1, "cols": 2, "random_trials": 2})
@@ -394,8 +406,7 @@ class TestCircuit:
         assert report["E_c_a_GHz"] == pytest.approx(32.28, rel=2e-3)
         assert report["long_range"]["warn"] is True
 
-    @pytest.mark.parametrize("coupling", [{"beta": 1.5},
-                                          {"c_c": 900e-18}])
+    @pytest.mark.parametrize("coupling", [{"beta": 1.5}])
     def test_strong_coupling_warns(self, tmp_path, capsys, coupling):
         # beta >= 1 is a valid network: the long-range check only reports
         cfg = write_config(tmp_path, "c.json",
@@ -426,7 +437,7 @@ class TestCircuit:
         # beta = 5e5: the determinant keeps its digits at any coupling
         cfg = write_config(tmp_path, "c.json",
                            {"c_g": 1e-18, "c_j": 1e-18, "e_j": 1e-24,
-                            "c_c": 1e-12})
+                            "beta": 5e5})
         code, out, err = run(["circuit", "--config", cfg], capsys)
         assert code == 0 and err == ""
         report = json.loads(out)
@@ -447,6 +458,13 @@ class TestCircuit:
         assert code == 2 and out == ""
         assert err == (f"error: missing config keys: {missing} "
                        "(frequencies need omega_c, delta and g)\n")
+
+    def test_coupling_capacitance_key_is_unknown(self, tmp_path, capsys):
+        # the coupler is set by beta alone
+        cfg = write_config(tmp_path, "c.json", {**_CIRCUIT, "c_c": 9e-16})
+        code, out, err = run(["circuit", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: unknown config keys: ['c_c']\n"
 
     def test_negative_temperature_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "c.json", {
@@ -497,6 +515,9 @@ _NAN, _INF = float("nan"), float("inf")
     ("qnd", {"n_qubits": 3, "sites": [0], "tolerance": -1e-10},
      "tolerance"),
     ("qnd", {"n_qubits": 3, "sites": [0], "tolerance": _NAN}, "tolerance"),
+    # an absent temperature is left out, not null
+    ("circuit", {**_CIRCUIT, "omega_c": 3e10, "delta": 1e9, "g": 1e8,
+                 "temperature": None}, "temperature"),
 ])
 def test_non_finite_numbers_and_bad_tolerances_exit_2(tmp_path, capsys,
                                                       command, payload, key):
@@ -692,9 +713,6 @@ class TestOutputBytes:
         ("circuit", {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24,
                      "beta": 0.05, "omega_c": 3e10, "delta": 1e9,
                      "g": 1e8, "temperature": 0.02}),
-        ("circuit", {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24,
-                     "beta": 0.05, "omega_c": 3e10, "delta": 1e9,
-                     "g": 1e8, "temperature": None}),
     ])
     def test_report_is_indented_json(self, tmp_path, capsys, command,
                                      payload):
@@ -1045,9 +1063,8 @@ class TestParser:
 # per subcommand, a small valid config with every optional key set
 _FULL_CONFIGS = {
     "lattice": {"rows": 1, "cols": 2},
-    "spectrum": {"rows": 1, "cols": 2, "j_up": 1.0, "j_down": 0.5, "u": 0.3,
-                 "random_trials": 2, "tolerance": 1e-10},
-    # the couplings are read only when no trials are drawn
+    "spectrum": {"rows": 1, "cols": 2, "random_trials": 2, "tolerance": 1e-10},
+    # random_trials draws the couplings, so it refuses them
     "spectrum-couplings": {"rows": 1, "cols": 2, "j_up": 1.0, "j_down": 0.5,
                            "u": 0.3, "tolerance": 1e-10},
     "ground": {"rows": 1, "cols": 2, "j_up": 1.0, "j_down": 0.5, "u": 0.3},
@@ -1057,9 +1074,8 @@ _FULL_CONFIGS = {
               "state_check": True},
     "qnd": {"n_qubits": 3, "sites": [0, 2], "chi": 1.0, "tau": math.pi / 2,
             "cavity_levels": 2, "tolerance": 1e-10},
-    "circuit": {**_CIRCUIT, "n_g": 0.3, "c_c": 30e-18, "c_a": 25e-18,
-                "c_b": 20e-18, "omega_c": 3e10, "delta": 1e9, "g": 1e8,
-                "temperature": 0.02},
+    "circuit": {**_CIRCUIT, "n_g": 0.3, "c_a": 25e-18, "c_b": 20e-18,
+                "omega_c": 3e10, "delta": 1e9, "g": 1e8, "temperature": 0.02},
 }
 
 _EDGE_VALUES = [0, 1, -1, 10**6, 10**30, 1e-300, -1e-300, 1e300, -1e300,

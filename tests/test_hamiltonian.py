@@ -1,5 +1,6 @@
 """Hamiltonian builders against the diagonal enumeration oracle."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -21,6 +22,7 @@ from semionlab.hamiltonian import (
     spectrum,
 )
 from semionlab.lattice import build_layout
+from semionlab.operators import REP_DEVICE, REP_HONEYCOMB
 from semionlab.pauli import (
     PauliString,
     _echelon,
@@ -150,9 +152,9 @@ class TestSpinHamiltonian:
         zz = PauliString.from_letters(2, {0: "Z", 1: "Z"})
         xx = PauliString.from_letters(2, {0: "X", 1: "X"})
         xi = PauliString.single(2, 0, "X")
-        ham = HamiltonianTerms("spin", 2, ((1.0, zz), (1.0, xx), (1.0, xi)))
+        ham = HamiltonianTerms(2, ((1.0, zz), (1.0, xx), (1.0, xi)))
         assert not ham.all_terms_commute()
-        assert HamiltonianTerms("spin", 2, ((1.0, zz), (1.0, xx))) \
+        assert HamiltonianTerms(2, ((1.0, zz), (1.0, xx))) \
             .all_terms_commute()
 
     def test_y_sites_meet_only_earlier_terms(self):
@@ -160,23 +162,33 @@ class TestSpinHamiltonian:
         # count: Y commutes with itself and with another Y there, not
         # with an X or a Z, in either order
         y = PauliString.single(2, 0, "Y")
-        assert HamiltonianTerms("spin", 2, ((1.0, y),)).all_terms_commute()
+        assert HamiltonianTerms(2, ((1.0, y),)).all_terms_commute()
         for letter, want in (("Y", True), ("X", False), ("Z", False)):
             op = PauliString.single(2, 0, letter)
             for pair in ((y, op), (op, y)):
-                ham = HamiltonianTerms("spin", 2,
-                                       tuple((1.0, t) for t in pair))
+                ham = HamiltonianTerms(2, tuple((1.0, t) for t in pair))
                 assert ham.all_terms_commute() is want
+
+    def test_rep_is_the_tag_of_the_terms(self):
+        assert [f.name for f in dataclasses.fields(HamiltonianTerms)] == \
+            ["n_sites", "terms"]
+        z0 = PauliString.single(2, 0, "Z")
+        z1 = PauliString.single(2, 1, "Z", "device")
+        assert HamiltonianTerms(2, ()).rep is None
+        assert HamiltonianTerms(2, ((1.0, z0),)).rep is None
+        assert HamiltonianTerms(2, ((1.0, z0), (1.0, z1))).rep == "device"
+        layout = build_layout(1, 2)
+        assert build_spin_hamiltonian(layout, 1, 1, 1).rep == REP_HONEYCOMB
+        assert build_device_hamiltonian(layout, 1, 1, 1).rep == REP_DEVICE
 
     def test_mixed_representation_tags_raise(self):
         terms = ((1.0, PauliString.single(2, 0, "Z")),
                  (1.0, PauliString.single(2, 1, "Z", "honeycomb_spin")),
                  (1.0, PauliString.single(2, 0, "Z", "honeycomb_spin")),
                  (1.0, PauliString.single(2, 1, "Z", "device")))
-        ham = HamiltonianTerms("spin", 2, terms)
         with pytest.raises(RepresentationError,
                            match="'honeycomb_spin' and 'device'"):
-            ham.all_terms_commute()
+            HamiltonianTerms(2, terms)
 
     def test_zz_only_spectrum(self):
         layout = build_layout(1, 3)
@@ -189,8 +201,7 @@ class TestSpinHamiltonian:
         assert np.allclose(eig, np.sort(want))
 
     def test_identity_only_hamiltonian(self):
-        ham = HamiltonianTerms("honeycomb_spin", 3,
-                               ((2.5, PauliString.identity(3)),))
+        ham = HamiltonianTerms(3, ((2.5, PauliString.identity(3)),))
         assert np.allclose(spectrum(ham), 2.5)
 
     def test_zero_couplings_all_zero(self):
@@ -241,11 +252,12 @@ class TestCommutationTable:
     @given(drawn=_near_commuting_terms())
     def test_matches_pairwise_reference(self, drawn):
         n, pairs, ops = drawn
-        ham = HamiltonianTerms("spin", n, tuple((1.0, op) for op in ops))
+        terms = tuple((1.0, op) for op in ops)
         if len({op.rep for op in ops} - {None}) > 1:
             with pytest.raises(RepresentationError):
-                ham.all_terms_commute()
+                HamiltonianTerms(n, terms)
             return
+        ham = HamiltonianTerms(n, terms)
         odd = [(p, q) for p, q in itertools.combinations(ops, 2)
                if not commutes(p, q)]
         assert len(odd) == pairs
@@ -296,7 +308,7 @@ class TestMappingEquivalence:
 
 
 def _terms(n: int, *pairs) -> HamiltonianTerms:
-    return HamiltonianTerms("honeycomb_spin", n, tuple(
+    return HamiltonianTerms(n, tuple(
         (coeff, PauliString.parse(text)) for coeff, text in pairs))
 
 
@@ -394,4 +406,4 @@ class TestGroundDegeneracy:
 def test_non_hermitian_term_rejected():
     bad = PauliString.single(2, 0, "Z").times_i()
     with pytest.raises(ValueError):
-        HamiltonianTerms("honeycomb_spin", 2, ((1.0, bad),))
+        HamiltonianTerms(2, ((1.0, bad),))

@@ -586,14 +586,18 @@ class TestGroundSector:
                 assert abs(wt - (-1) ** (k in flips[DOWN])) < 1e-12
 
     def test_move_carries_the_tag_of_the_terms(self):
-        # the list's own label is free; the move is tagged as its terms
+        # the list's tag is its terms' tag, and the move carries it
         layout = build_layout(2, 3)
         ham = build_spin_hamiltonian(layout, 1.0, -0.5, 0.3)
-        relabelled = HamiltonianTerms("spin", ham.n_sites, ham.terms)
-        move, _, _ = ground_sector(relabelled)
-        assert move.rep == REP_HONEYCOMB
-        assert predicted_flips(layout, move) == \
-            predicted_flips(layout, ground_sector(ham)[0])
+        move, _, _ = ground_sector(ham)
+        assert ham.rep == move.rep == REP_HONEYCOMB
+        untagged = HamiltonianTerms(ham.n_sites, tuple(
+            (coeff, PauliString(op.n_sites, op.x_mask, op.z_mask,
+                                op.phase_exp))
+            for coeff, op in ham.terms))
+        bare, _, _ = ground_sector(untagged)
+        assert untagged.rep is None and bare.rep is None
+        assert (bare.x_mask, bare.z_mask) == (move.x_mask, move.z_mask)
 
     def test_positive_couplings_move_nothing(self):
         move, _, _ = ground_sector(
@@ -641,6 +645,21 @@ class TestStateVectorBasics:
             project_ground(build_layout(2, 16))
 
     def test_dense_capacity_guard(self):
-        from semionlab.errors import CapacityError
         with pytest.raises(CapacityError):
-            basis_state(30)
+            basis_state(30).amplitudes
+
+    def test_basis_state_holds_one_amplitude_per_level(self):
+        # one of 2**40 basis states; a Z string reads -1 per set bit
+        bits = 1 << 39 | 0b1011
+        tracemalloc.start()
+        try:
+            st = basis_state(40, bits)
+            values = expectations(st, [
+                PauliString(40, 0, 1 << 39 | 0b111, 0),  # three set bits
+                PauliString(40, 0, 1 << 39 | 0b110, 0)])  # two
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.values.tolist() == [1.0] and st.index.tolist() == [bits]
+        assert values == [-1.0, 1.0]
+        assert peak < 64 << 10

@@ -168,6 +168,19 @@ def test_cli_bytes_runs_both_qnd_edges():
     assert runs["edge:qnd:in-budget"][1]["cavity_levels"] == 4
 
 
+def test_cli_bytes_runs_the_shadowed_inputs():
+    tool = _load("cli_bytes")
+    runs = {label: (command, cfg)
+            for label, command, cfg, _ in tool._all_runs(TOOLS.parent)}
+    assert runs["shadowed:circuit-c_c"][1]["c_c"] == 9e-16
+    assert runs["shadowed:circuit-null-temperature"][1]["temperature"] \
+        is None
+    command, cfg = runs["shadowed:spectrum-trials-couplings"]
+    assert command == "spectrum" and cfg["random_trials"] == 1
+    assert {"j_up", "j_down", "u"} <= cfg.keys()
+    assert runs["edge:circuit:beta-5e5"][1]["beta"] == 5e5
+
+
 def test_cli_bytes_names_no_stdout_key_when_only_stderr_differs():
     from subprocess import CompletedProcess
     old = CompletedProcess([], 2, b"", b"error: a\n")

@@ -16,7 +16,11 @@ first on ``PYTHONPATH``) runs on a fixed set of configs, each once with
 - a fixed list of ``circuit`` edge configs: very strong coupling, a
   determinant that underflows, and a partial set of frequency keys;
 - a fixed list of ``qnd`` edge configs: a register over the dense
-  budget and one inside it with four cavity levels.
+  budget and one inside it with four cavity levels;
+- a fixed list of shadowed inputs, each a key that another key leaves
+  unread or a second spelling of one value: ``circuit`` with ``c_c``
+  beside ``beta``, ``circuit`` with a ``null`` temperature, and
+  ``spectrum`` with couplings beside ``random_trials``.
 
 Then each tree runs a fixed list of argv forms on one small ``lattice``
 config: help, the version, prefix and ``=`` forms (an ``=`` value of
@@ -88,7 +92,7 @@ SIGNED_GROUND = (
 # with the frequency keys, 2e-170 F devices whose determinant underflows
 # to zero, and frequency keys without g.
 CIRCUIT_EDGES = (
-    ("beta-5e5", {"c_g": 1e-18, "c_j": 1e-18, "e_j": 1e-24, "c_c": 1e-12}),
+    ("beta-5e5", {"c_g": 1e-18, "c_j": 1e-18, "e_j": 1e-24, "beta": 5e5}),
     ("beta-1e5", {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24, "beta": 1e5,
                   "omega_c": 3e10, "delta": 1e9, "g": 1e8,
                   "temperature": 0.02}),
@@ -103,6 +107,18 @@ QND_EDGES = (
     ("over-budget", {"n_qubits": 25, "sites": [0, 24]}),
     ("in-budget", {"n_qubits": 18, "sites": [0, 5, 17],
                    "cavity_levels": 4}),
+)
+
+# (label, command, config) of the shadowed inputs
+SHADOWED = (
+    ("circuit-c_c", "circuit", {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24,
+                                "beta": 0.05, "c_c": 9e-16}),
+    ("circuit-null-temperature", "circuit",
+     {"c_g": 300e-18, "c_j": 300e-18, "e_j": 1e-24, "beta": 0.05,
+      "omega_c": 3e10, "delta": 1e9, "g": 1e8, "temperature": None}),
+    ("spectrum-trials-couplings", "spectrum",
+     {"rows": 2, "cols": 3, "random_trials": 1, "j_up": -5, "j_down": 3,
+      "u": 7}),
 )
 
 # (label, argv) run in the work directory, CONFIG standing for the path
@@ -174,6 +190,8 @@ def _all_runs(parent: Path) -> list[tuple[str, str, dict, int]]:
              for label, cfg in CIRCUIT_EDGES]
     runs += [(f"edge:qnd:{label}", "qnd", cfg, 0)
              for label, cfg in QND_EDGES]
+    runs += [(f"shadowed:{label}", command, cfg, 0)
+             for label, command, cfg in SHADOWED]
     return runs
 
 
