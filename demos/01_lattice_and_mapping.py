@@ -13,6 +13,7 @@ from semionlab import (
     DiagonalOracle,
     build_layout,
     build_spin_hamiltonian,
+    ground_sector,
     spectrum,
 )
 
@@ -42,5 +43,6 @@ oracle = DiagonalOracle(layout, j_up, j_down, u).sorted_spectrum()
 print(f"spin spectrum size {eig.size}, fermion enumeration {oracle.size}")
 print(f"max |spin - fermion| after sorting: {np.max(np.abs(eig - oracle)):.3e}")
 print(f"ground energy: {eig[0]:.6f}")
-print(f"ground degeneracy: {int(np.sum(eig <= eig[0] + 1e-8))} "
+# levels within 1e-12 of the sum of |coefficients| count as one
+print(f"ground degeneracy: {ground_sector(ham)[2]} "
       f"(= 2 ** number_of_chains = {2 ** len(layout.chains())})")

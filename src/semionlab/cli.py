@@ -49,6 +49,7 @@ from .errors import (
 )
 from .hamiltonian import (
     DiagonalOracle,
+    _energies_agree,
     build_spin_hamiltonian,
     ground_sector,
     predicted_ground_degeneracy,
@@ -80,8 +81,6 @@ def _is_finite(value) -> bool:
 _KINDS = {
     "int": ("an integer", _is_int),
     "number": ("a finite number", _is_finite),
-    "tolerance": ("a finite number > 0",
-                  lambda v: _is_finite(v) and v > 0),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "ints": ("a list of integers",
              lambda v: isinstance(v, list) and all(map(_is_int, v))),
@@ -94,14 +93,12 @@ _COUPLINGS = {"j_up": "number", "j_down": "number", "u": "number"}
 # command -> (required keys, optional keys), each mapping key -> kind
 _SCHEMAS = {
     "lattice": (_DIMS, {}),
-    "spectrum": (_DIMS, {**_COUPLINGS, "random_trials": "int",
-                         "tolerance": "tolerance"}),
+    "spectrum": (_DIMS, {**_COUPLINGS, "random_trials": "int"}),
     "ground": (_DIMS, _COUPLINGS),
     "braid": ({**_DIMS, "loop": "object", "crossing": "object"},
               {"state_check": "bool"}),
     "qnd": ({"n_qubits": "int", "sites": "ints"},
-            {"chi": "number", "tau": "number", "cavity_levels": "int",
-             "tolerance": "tolerance"}),
+            {"chi": "number", "tau": "number", "cavity_levels": "int"}),
     "circuit": ({"c_g": "number", "c_j": "number", "e_j": "number"},
                 {"n_g": "number", "beta": "number", "c_a": "number",
                  "c_b": "number", "omega_c": "number", "delta": "number",
@@ -178,7 +175,6 @@ def run_spectrum(cfg: dict, args) -> tuple[dict, bool]:
         raise ConfigError("random_trials draws its own couplings; "
                           f"remove {unread}")
     layout = build_layout(int(cfg["rows"]), int(cfg["cols"]))
-    tol = float(cfg.get("tolerance", 1e-10))
     rng = np.random.default_rng(args.seed)
     trials = []
     if "random_trials" in cfg:
@@ -209,9 +205,8 @@ def run_spectrum(cfg: dict, args) -> tuple[dict, bool]:
             "eigenvalues": eig,
             "max_multiset_deviation": dev,
         })
-        ok = ok and dev < tol
-    return {"tolerance": tol, "trials": results,
-            "equivalence_pass": ok}, ok
+        ok = ok and _energies_agree(dev, 0.0, ham.scale)
+    return {"trials": results, "equivalence_pass": ok}, ok
 
 
 def run_ground(cfg: dict, args) -> tuple[dict, bool]:
@@ -236,8 +231,9 @@ def run_ground(cfg: dict, args) -> tuple[dict, bool]:
             abs(w - (-1) ** (k in flips[UP])) < 1e-12
             and abs(wt - (-1) ** (k in flips[DOWN])) < 1e-12
             for k, (w, wt) in enumerate(vmap.values)),
-        "energy_is_minimum": abs(energy - min_energy) < 1e-10,
-        "variance_small": variance < 1e-10,
+        "energy_is_minimum": _energies_agree(energy, min_energy, ham.scale),
+        "variance_small": _energies_agree(math.sqrt(variance), 0.0,
+                                          ham.scale),
         "degeneracy_match": oracle_deg == ed_deg and (
             predicted is None or predicted == ed_deg),
     }
@@ -278,12 +274,15 @@ def run_braid(cfg: dict, args) -> tuple[dict, bool]:
     return report, agree
 
 
+# the qnd deviation and readout are unit-scale, so their window is absolute
+_QND_TOLERANCE = 1e-10
+
+
 def run_qnd(cfg: dict, args) -> tuple[dict, bool]:
     n_qubits = int(cfg["n_qubits"])
     sites = [int(s) for s in cfg["sites"]]
     chi = float(cfg.get("chi", 1.0))
     cavity = int(cfg.get("cavity_levels", 2))
-    tol = float(cfg.get("tolerance", 1e-10))
     if "tau" in cfg:
         params = QndParams(chi, float(cfg["tau"]), tuple(sites))
     else:
@@ -294,8 +293,8 @@ def run_qnd(cfg: dict, args) -> tuple[dict, bool]:
     qubits, readout = _zero_photon_readout(state, sites)
     direct = expectation(
         qubits, PauliString(n_qubits, 0, _site_mask(sites, n_qubits), 0)).real
-    ok = params.is_canonical and deviation < tol and \
-        abs(readout.inferred_eigenvalue - direct) < tol
+    ok = params.is_canonical and deviation < _QND_TOLERANCE and \
+        abs(readout.inferred_eigenvalue - direct) < _QND_TOLERANCE
     return {
         "n_selected": params.n,
         "chi": chi,

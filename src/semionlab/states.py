@@ -353,16 +353,19 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
 
 
 def energy_moments(state: StateVector, ham: HamiltonianTerms) -> tuple[float, float]:
-    """(<H>, variance) for a Hermitian term list; the variance is >= 0.
+    """(<H>, variance) for a Hermitian term list and a normalized state.
 
     Each term ``c P`` sends the state onto the coset moved by the
     remainder of its ``x_mask`` (see :func:`apply_pauli`), so ``H|state>``
     is one buffer of the state's size per distinct remainder, the sum of
     the images of its terms in term order.  ``<H>`` is the overlap of the
-    state with the buffer of remainder 0, and ``<H^2>`` the sum of the
-    buffers' squared norms, since distinct cosets are disjoint.  The
-    buffers are built one at a time, so whatever the number of terms the
-    peak is a few times the state.
+    state with the buffer of remainder 0, from which ``<H>`` times the
+    state is then subtracted; the variance is the sum of the buffers'
+    squared norms, ``||(H - <H>) state||^2``, since distinct cosets are
+    disjoint.  A sum of squares, it is never below 0 and does not lose
+    the digits that ``<H^2> - <H>^2`` cancels.  The buffers are built one
+    at a time, so whatever the number of terms the peak is a few times
+    the state.
     """
     if ham.n_sites != state.n_qubits:
         raise DimensionMismatchError("Hamiltonian register mismatch")
@@ -371,14 +374,13 @@ def energy_moments(state: StateVector, ham: HamiltonianTerms) -> tuple[float, fl
         rem, dep = _gf2_reduce(op.x_mask, state.rows)
         groups.setdefault(rem, []).append((c, op, dep))
     blocks = _levels(state)
-    e = hh = 0.0
+    e = variance = 0.0
     for rem, terms in groups.items():
         hv = np.zeros_like(blocks)
         for c, op, dep in terms:
             hv += _partner(_factor(op, state.index, c) * blocks, dep)
         if not rem:
             e = float(np.vdot(blocks, hv).real)
-        hh += float(np.vdot(hv, hv).real)
-    # a Hermitian operator's variance is >= 0; <H^2> - <H>^2 can round
-    # below zero by O(eps <H^2>), and max(0.0, .) never returns -0.0
-    return e, max(0.0, hh - e * e)
+            hv -= e * blocks
+        variance += float(np.vdot(hv, hv).real)
+    return e, variance

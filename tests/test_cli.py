@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -245,7 +246,8 @@ class TestGround:
         assert "basis of 32 sites" in err
 
     def test_variance_never_negative(self, tmp_path):
-        # on one BLAS thread <H^2> - <H>^2 rounds to -2.8e-14 here
+        # a sum of squares; on one BLAS thread <H^2> - <H>^2 rounded to
+        # -2.8e-14 here
         cfg = write_config(tmp_path, "g.json", {
             "rows": 2, "cols": 4, "j_up": 0.7, "j_down": 1.3, "u": 0.4})
         proc = subprocess.run(
@@ -506,15 +508,13 @@ _NAN, _INF = float("nan"), float("inf")
     ("circuit", {**_CIRCUIT, "c_g": _NAN}, "c_g"),
     ("circuit", {**_CIRCUIT, "omega_c": 3e10, "delta": 1e9, "g": 1e8,
                  "temperature": _INF}, "temperature"),
-    ("spectrum", {"rows": 1, "cols": 2, "j_up": _NAN, "tolerance": _INF},
-     "j_up"),
+    ("spectrum", {"rows": 1, "cols": 2, "j_up": _NAN}, "j_up"),
     ("ground", {"rows": 1, "cols": 2, "u": -_INF}, "u"),
     ("qnd", {"n_qubits": 3, "sites": [0], "chi": _NAN}, "chi"),
-    ("spectrum", {"rows": 1, "cols": 2, "tolerance": _INF}, "tolerance"),
-    ("spectrum", {"rows": 1, "cols": 2, "tolerance": 0}, "tolerance"),
-    ("qnd", {"n_qubits": 3, "sites": [0], "tolerance": -1e-10},
-     "tolerance"),
-    ("qnd", {"n_qubits": 3, "sites": [0], "tolerance": _NAN}, "tolerance"),
+    ("qnd", {"n_qubits": 3, "sites": [0], "tau": _INF}, "tau"),
+    ("spectrum", {"rows": 1, "cols": 2, "u": _NAN}, "u"),
+    ("ground", {"rows": 1, "cols": 2, "j_down": _INF}, "j_down"),
+    ("circuit", {**_CIRCUIT, "beta": -_INF}, "beta"),
     # an absent temperature is left out, not null
     ("circuit", {**_CIRCUIT, "omega_c": 3e10, "delta": 1e9, "g": 1e8,
                  "temperature": None}, "temperature"),
@@ -842,6 +842,96 @@ class TestNonFiniteResults:
         assert proc.stderr.count("\n") == 1
 
 
+# -- energy verdicts in the units of the couplings -----------------------
+
+# the model couplings in joules that CLI circuit prints for the README
+# circuit config
+_JOULES = {"j_up": 1.407330025512922e-24, "j_down": 1.1562927777187252e-24,
+           "u": 1.711313311023713e-24}
+
+
+def _cli_report(command, payload):
+    """``(exit code, report)`` of one in-process run on ``payload``."""
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out):
+        code = main([command, "--config",
+                     write_config(Path(tmp), "cfg.json", payload)])
+    return code, json.loads(out.getvalue())
+
+
+def _verdicts(rows, cols, couplings):
+    """Every verdict and count of ``ground`` and ``spectrum``."""
+    payload = {"rows": rows, "cols": cols, **couplings}
+    ground_code, ground = _cli_report("ground", payload)
+    spectrum_code, spec = _cli_report("spectrum", payload)
+    return (ground_code, ground["checks"], ground["degeneracy"],
+            spectrum_code, spec["equivalence_pass"])
+
+
+class TestScaleFreeVerdicts:
+    @settings(max_examples=30, deadline=None)
+    @given(dims=st.sampled_from([(1, 2), (1, 3), (2, 2), (1, 4), (2, 3),
+                                 (3, 2), (2, 4)]),
+           magnitudes=st.tuples(*[st.floats(0.2, 2.0)] * 3),
+           signs=st.tuples(*[st.sampled_from((-1.0, 1.0))] * 3),
+           k=st.integers(-12, 12))
+    def test_scaled_couplings_keep_every_verdict(self, dims, magnitudes,
+                                                 signs, k):
+        base = dict(zip(("j_up", "j_down", "u"),
+                        (s * m for s, m in zip(signs, magnitudes))))
+        scaled = {key: c * 10.0 ** k for key, c in base.items()}
+        assert _verdicts(*dims, scaled) == _verdicts(*dims, base)
+
+    @pytest.mark.parametrize("couplings", [
+        _JOULES, {"j_up": 1e-9, "j_down": 1e-9, "u": 1e-9}],
+        ids=["joules", "nano"])
+    def test_small_couplings_find_the_predicted_ground_states(self,
+                                                              couplings):
+        # an absolute window counted every level (joules) or 340 of them
+        # (1e-9) as ground states
+        code, report = _cli_report("ground",
+                                   {"rows": 2, "cols": 3, **couplings})
+        assert code == 0 and all(report["checks"].values())
+        assert report["degeneracy"] == {"oracle": 4,
+                                        "exact_diagonalization": 4,
+                                        "predicted": 4}
+
+    def test_spectrum_window_follows_the_couplings(self, monkeypatch):
+        # a shift of 1e-30 J is 1e-7 of S here, far outside the window,
+        # though an absolute 1e-10 window would take it
+        import semionlab.cli as cli
+        payload = {"rows": 2, "cols": 3, **_JOULES}
+        assert _cli_report("spectrum", payload)[0] == 0
+        exact = cli.spectrum
+        monkeypatch.setattr(cli, "spectrum", lambda ham: exact(ham) + 1e-30)
+        code, report = _cli_report("spectrum", payload)
+        assert code == 1 and report["equivalence_pass"] is False
+
+    def test_coupling_under_the_window_is_a_stated_limit(self):
+        # u is 1e-300 of the chain couplings, so the levels it splits
+        # agree within the window: ED and the oracle count 16 ground
+        # states where the chain picture has 4 (exact ties need integer
+        # level keys)
+        code, report = _cli_report("ground", {"rows": 2, "cols": 3,
+                                              "j_up": 1.0, "j_down": 1.0,
+                                              "u": 1e-300})
+        assert code == 1
+        assert report["degeneracy"] == {"oracle": 16,
+                                        "exact_diagonalization": 16,
+                                        "predicted": 4}
+
+    @pytest.mark.parametrize("command,payload", [
+        ("spectrum", {"rows": 1, "cols": 2, "tolerance": 1e-10}),
+        ("qnd", {"n_qubits": 3, "sites": [0], "tolerance": 1e-10}),
+    ])
+    def test_tolerance_is_an_unknown_key(self, tmp_path, capsys, command,
+                                         payload):
+        cfg = write_config(tmp_path, "tol.json", payload)
+        assert run([command, "--config", cfg], capsys) == \
+            (2, "", "error: unknown config keys: ['tolerance']\n")
+
+
 def _reference_parser() -> argparse.ArgumentParser:
     """The argparse grammar the CLI front end keeps, built as it once was."""
     parser = argparse.ArgumentParser(
@@ -1063,17 +1153,17 @@ class TestParser:
 # per subcommand, a small valid config with every optional key set
 _FULL_CONFIGS = {
     "lattice": {"rows": 1, "cols": 2},
-    "spectrum": {"rows": 1, "cols": 2, "random_trials": 2, "tolerance": 1e-10},
+    "spectrum": {"rows": 1, "cols": 2, "random_trials": 2},
     # random_trials draws the couplings, so it refuses them
     "spectrum-couplings": {"rows": 1, "cols": 2, "j_up": 1.0, "j_down": 0.5,
-                           "u": 0.3, "tolerance": 1e-10},
+                           "u": 0.3},
     "ground": {"rows": 1, "cols": 2, "j_up": 1.0, "j_down": 0.5, "u": 0.3},
     "braid": {"rows": 1, "cols": 2,
               "loop": {"family": "z", "sites": [0, 1]},
               "crossing": {"family": "x", "sites": [1]},
               "state_check": True},
     "qnd": {"n_qubits": 3, "sites": [0, 2], "chi": 1.0, "tau": math.pi / 2,
-            "cavity_levels": 2, "tolerance": 1e-10},
+            "cavity_levels": 2},
     "circuit": {**_CIRCUIT, "n_g": 0.3, "c_a": 25e-18, "c_b": 20e-18,
                 "omega_c": 3e10, "delta": 1e9, "g": 1e8, "temperature": 0.02},
 }

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from semionlab.errors import CapacityError, RepresentationError
 from semionlab.hamiltonian import (
+    REL,
     DiagonalOracle,
     HamiltonianTerms,
+    _energies_agree,
     build_device_hamiltonian,
     _levels,
     build_spin_hamiltonian,
@@ -401,6 +403,38 @@ class TestGroundDegeneracy:
         assert oracle.ground_degeneracy() == 12
         with pytest.raises(ValueError):
             predicted_ground_degeneracy(layout, -1.0, 1.0, 1.0)
+
+
+class TestEnergyWindow:
+    def test_no_looser_than_the_absolute_windows_at_unit_couplings(self):
+        # at couplings in [0.2, 2] up to 3x4, S is at most 60
+        ham = build_spin_hamiltonian(build_layout(3, 4), 2.0, -2.0, 2.0)
+        assert ham.scale == 60.0
+        assert REL * 60 <= 1e-10
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 3), (3, 4)])
+    def test_oracle_scale_is_the_spin_scale(self, dims):
+        layout = build_layout(*dims)
+        couplings = (-0.7, 1.3e-9, -2.5e4)
+        assert DiagonalOracle(layout, *couplings).scale == pytest.approx(
+            build_spin_hamiltonian(layout, *couplings).scale, rel=1e-15)
+
+    def test_window_is_relative_and_closed(self):
+        assert _energies_agree(1.0 + 1e-12, 1.0, 1.0)
+        assert not _energies_agree(1.0 + 2e-12, 1.0, 1.0)
+        assert _energies_agree(1e-30 + 1e-42, 1e-30, 1e-30)
+        assert not _energies_agree(1e-30 + 2e-42, 1e-30, 1e-30)
+        # zero couplings: only an exact match agrees
+        assert _energies_agree(0.0, 0.0, 0.0)
+        assert not _energies_agree(5e-324, 0.0, 0.0)
+        levels = np.array([-2.0, -2.0 + 1e-13, -2.0 + 1e-11, 1.0])
+        assert _energies_agree(levels, -2.0, 2.0).tolist() == \
+            [True, True, False, False]
+
+    def test_scale_overflow_raises(self):
+        ham = build_spin_hamiltonian(build_layout(1, 2), 1e308, 1e308, 0.0)
+        with pytest.raises(OverflowError):
+            ham.scale
 
 
 def test_non_hermitian_term_rejected():

@@ -188,3 +188,22 @@ def test_cli_bytes_names_no_stdout_key_when_only_stderr_differs():
     assert _load("cli_bytes")._difference("edge:qnd:x", "csv", old, new) == \
         "DIFF edge:qnd:x --format csv: exit 2 -> 2; stdout keys []; " \
         "stderr differs"
+
+
+def test_cli_bytes_runs_the_couplings_far_from_unit_scale():
+    tool = _load("cli_bytes")
+    runs = {label: (command, cfg)
+            for label, command, cfg, _ in tool._all_runs(TOOLS.parent)}
+    joules = {"j_up": 1.407330025512922e-24,
+              "j_down": 1.1562927777187252e-24, "u": 1.711313311023713e-24}
+    for command in ("ground", "spectrum"):
+        assert runs[f"scaled:{command}-joules"] == \
+            (command, {"rows": 2, "cols": 3, **joules})
+    assert runs["scaled:ground-1e-9"][1] == \
+        {"rows": 2, "cols": 3, "j_up": 1e-9, "j_down": 1e-9, "u": 1e-9}
+    command, cfg = runs["scaled:ground-2x4-1e2"]
+    assert command == "ground" and (cfg["rows"], cfg["cols"]) == (2, 4)
+    assert 1e2 <= max(abs(cfg[key]) for key in ("j_up", "j_down", "u")) < 1e3
+    command, cfg = runs["scaled:spectrum-2x3-1e5"]
+    assert command == "spectrum" and (cfg["rows"], cfg["cols"]) == (2, 3)
+    assert 1e5 <= max(abs(cfg[key]) for key in ("j_up", "j_down", "u")) < 1e6

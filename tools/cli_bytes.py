@@ -13,6 +13,9 @@ first on ``PYTHONPATH``) runs on a fixed set of configs, each once with
   ``perfbench`` is read), each run with the seed the benchmark gives it;
 - the example config of each command in the README;
 - a fixed list of ``ground`` configs with signed couplings;
+- a fixed list of ``ground`` and ``spectrum`` configs far from unit
+  couplings: the model couplings in joules of the README ``circuit``
+  config, all couplings 1e-9, and signed couplings of about 1e2 and 1e5;
 - a fixed list of ``circuit`` edge configs: very strong coupling, a
   determinant that underflows, and a partial set of frequency keys;
 - a fixed list of ``qnd`` edge configs: a register over the dense
@@ -86,6 +89,24 @@ SIGNED_GROUND = (
     (3, 3, 0.7, -1.3, 0.4),
     (3, 3, 0.7, 1.3, 0.4),
     (4, 4, 0.7, 1.3, 0.4),
+)
+
+# (label, command, config) far from unit couplings: the model couplings
+# in joules that CLI circuit prints for the README circuit config, all
+# couplings 1e-9, and signed draws of magnitude about 1e2 and 1e5
+_JOULES = {"j_up": 1.407330025512922e-24, "j_down": 1.1562927777187252e-24,
+           "u": 1.711313311023713e-24}
+SCALED = (
+    ("ground-joules", "ground", {"rows": 2, "cols": 3, **_JOULES}),
+    ("spectrum-joules", "spectrum", {"rows": 2, "cols": 3, **_JOULES}),
+    ("ground-1e-9", "ground",
+     {"rows": 2, "cols": 3, "j_up": 1e-9, "j_down": 1e-9, "u": 1e-9}),
+    ("ground-2x4-1e2", "ground",
+     {"rows": 2, "cols": 4, "j_up": -129.22431205535082,
+      "j_down": -199.94938327014845, "u": 164.66049976752828}),
+    ("spectrum-2x3-1e5", "spectrum",
+     {"rows": 2, "cols": 3, "j_up": -36485.26173291324,
+      "j_down": 170389.79806330093, "u": 65284.99356709383}),
 )
 
 # (label, config): the old ill-conditioned refusal (beta 5e5), beta 1e5
@@ -186,6 +207,8 @@ def _all_runs(parent: Path) -> list[tuple[str, str, dict, int]]:
               {"rows": r, "cols": c, "j_up": j_up, "j_down": j_down,
                "u": u}, 0)
              for r, c, j_up, j_down, u in SIGNED_GROUND]
+    runs += [(f"scaled:{label}", command, cfg, 0)
+             for label, command, cfg in SCALED]
     runs += [(f"edge:circuit:{label}", "circuit", cfg, 0)
              for label, cfg in CIRCUIT_EDGES]
     runs += [(f"edge:qnd:{label}", "qnd", cfg, 0)
