@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError
+from .errors import CapacityError, DimensionMismatchError, _agree
 from .lattice import DOWN, UP, HoneycombLayout
 from .operators import REP_HONEYCOMB, x_string_op
 from .pauli import (
@@ -120,6 +120,9 @@ class VortexMap:
 
     def flipped_against(self,
                         other: "VortexMap") -> dict[str, tuple[int, ...]]:
+        """The plaquettes whose up or down value moved from ``other``'s:
+        each value is at most 1 in modulus, so it moved when it does not
+        agree with the other's at scale 1 (:func:`_agree`)."""
         if len(self.values) != len(other.values):
             raise DimensionMismatchError(
                 f"vortex maps of {len(other.values)} and "
@@ -127,9 +130,9 @@ class VortexMap:
         ups, downs = [], []
         for idx, ((a0, b0), (a1, b1)) in enumerate(
                 zip(other.values, self.values)):
-            if abs(a0 - a1) > 1e-9:
+            if not _agree(a1, a0, 1.0):
                 ups.append(idx)
-            if abs(b0 - b1) > 1e-9:
+            if not _agree(b1, b0, 1.0):
                 downs.append(idx)
         return {"up": tuple(ups), "down": tuple(downs)}
 
@@ -314,8 +317,7 @@ class QndParams:
 
     @property
     def is_canonical(self) -> bool:
-        return math.isclose(self.chi * self.tau, math.pi / 2,
-                            rel_tol=1e-12, abs_tol=0.0)
+        return _agree(self.chi * self.tau, math.pi / 2, math.pi / 2)
 
 
 def qnd_unitary(params: QndParams, n_c: int, n_qubits: int) -> PauliString:
@@ -442,9 +444,10 @@ def interferometry_run(layout: HoneycombLayout, state: StateVector,
 
 def _zero_photon_readout(state: StateVector,
                          sites) -> tuple[StateVector, ReadoutRecord]:
-    """Normalized zero-photon block of ``state`` and its readout."""
+    """Normalized zero-photon block of ``state`` and its readout.  A block
+    whose norm agrees with 0 at the state's norm is empty."""
     qubits = _cavity_block(state, 0)
-    if qubits.norm() < 1e-12:
+    if _agree(qubits.norm(), 0.0, state.norm()):
         raise ValueError("zero-photon block is empty; nothing to read out")
     qubits = qubits.normalized()
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import DegenerateNetworkError
+from .errors import DegenerateNetworkError, _agree
 
 ELEMENTARY_CHARGE = 1.602176634e-19
 PLANCK = 6.62607015e-34
@@ -121,8 +121,8 @@ class DeviceNetwork:
 
     @property
     def is_identical(self) -> bool:
-        return math.isclose(self.device_a.c_0, self.device_b.c_0,
-                            rel_tol=1e-12)
+        c_0_a, c_0_b = self.device_a.c_0, self.device_b.c_0
+        return _agree(c_0_a, c_0_b, max(c_0_a, c_0_b))
 
     @classmethod
     def identical(cls, c_g: float, c_j: float, e_j: float, beta: float,
@@ -306,11 +306,13 @@ def jc_resonance(e_c: float, n_g: float, omega_c: float) -> dict:
     """Resonant drive frequency for the ancilla swap.
 
     ``omega = omega_c + omega_01``; the ancilla must sit away from the
-    degeneracy point for the qubit transition to be nonzero.
+    degeneracy point for the qubit transition to be nonzero.  The gate
+    charge lies in [0, 1], so it is at the point when it agrees with 0.5
+    at scale 1 (:func:`~semionlab.errors._agree`).
     """
     omega_01 = 2 * e_c * (1 - 2 * n_g) / HBAR
     return {
         "omega_01": omega_01,
         "drive_omega": omega_c + omega_01,
-        "at_degeneracy_point": math.isclose(n_g, 0.5, abs_tol=1e-12),
+        "at_degeneracy_point": _agree(n_g, 0.5, 1.0),
     }

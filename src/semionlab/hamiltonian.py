@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _require_capacity
+from .errors import _agree, _require_capacity
 from .lattice import HoneycombLayout
 from .operators import (
     CHAIN_A,
@@ -93,7 +93,7 @@ class HamiltonianTerms:
     @property
     def scale(self) -> float:
         """``S``, the sum of the absolute coefficients, which bounds
-        ``|E|`` of every level; the scale of :func:`_energies_agree`.  A
+        ``|E|`` of every level; the scale of :func:`_agree`.  A
         sum that overflows raises ``OverflowError``."""
         return math.fsum(abs(c) for c, _ in self.terms)
 
@@ -255,10 +255,10 @@ class DiagonalOracle:
 
     def ground_degeneracy(self) -> int:
         """The number of energies that agree with the least one
-        (:func:`_energies_agree`)."""
+        (:func:`_agree`)."""
         energies = self.enumerate_energies()
         return int(np.count_nonzero(
-            _energies_agree(energies, energies.min(), self.scale)))
+            _agree(energies, energies.min(), self.scale)))
 
 
 def predicted_ground_degeneracy(layout: HoneycombLayout, j_up: float,
@@ -303,30 +303,6 @@ def dense_matrix(ham: HamiltonianTerms) -> np.ndarray:
             phase = phase.real
         mat[idx ^ op.x_mask, idx] += coeff * phase * _z_signs(op.z_mask, n)
     return mat
-
-
-# the relative half-width of every energy verdict
-REL = 1e-12
-
-
-def _energies_agree(value, reference: float, scale: float):
-    """``|value - reference| <= REL * scale``, elementwise on an array:
-    the one rule of every comparison of energy-valued quantities.
-
-    ``scale`` is ``S``, the sum of the absolute term coefficients
-    (:attr:`HamiltonianTerms.scale`), which bounds ``|E|`` of every
-    level, so a verdict does not depend on the units of the couplings.
-    Over signed couplings scaled by ``10**k``, ``|k| <= 12``, from 1x2
-    to 3x4, the levels' deviation from the oracle energies, the ground
-    state's energy error and its standard deviation stayed below
-    2e-15 S, so ``REL`` is 500 times them.  At couplings in [0.2, 2]
-    up to 3x4, ``S <= 60``, so no window is wider than 6e-11.  Distinct
-    levels closer than the window count as one: exact ties wait on
-    integer level keys.  An array is compared with the two bounds, so
-    no float temporary of its size is made.
-    """
-    window = REL * scale
-    return (value >= reference - window) & (value <= reference + window)
 
 
 _SIGNS = np.array([1.0, -1.0])
@@ -388,7 +364,7 @@ def ground_sector(ham: HamiltonianTerms) -> tuple[PauliString, float, int]:
 
     ``energy`` is the first least level, pattern ``b``, and
     ``degeneracy`` the number of eigenvalues that agree with it
-    (:func:`_energies_agree` at ``ham.scale``).  ``move``
+    (:func:`_agree` at ``ham.scale``).  ``move``
     is a Hermitian Pauli string that anticommutes with generator ``k``
     exactly when bit ``k`` of ``b`` is set, so it carries the sector
     where every generator is +1 to the ground sector.  With ``w = z << n
@@ -409,6 +385,6 @@ def ground_sector(ham: HamiltonianTerms) -> tuple[PauliString, float, int]:
     x, z = w & (1 << n) - 1, w >> n
     energy = float(levels[pattern])
     degeneracy = int(np.count_nonzero(
-        _energies_agree(levels, energy, ham.scale)))
+        _agree(levels, energy, ham.scale)))
     return (PauliString(n, x, z, (x & z).bit_count(), ham.rep), energy,
             degeneracy << n - len(rows))

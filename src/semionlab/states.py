@@ -35,6 +35,7 @@ from .errors import (
     CapacityError,
     DimensionMismatchError,
     ZeroProjectionError,
+    _agree,
     _require_capacity,
 )
 from .hamiltonian import HamiltonianTerms
@@ -268,7 +269,8 @@ def overlap(u: StateVector, v: StateVector) -> complex:
 
 
 def expectation(state: StateVector, op: PauliString) -> complex:
-    """<state| op |state>; real up to 1e-12 for Hermitian operators.
+    """<state| op |state>; real for Hermitian operators, up to
+    ``REL <state|state>`` (:func:`expectations`).
 
     The one-operator case of :func:`expectations`.
     """
@@ -284,17 +286,20 @@ def expectations(state: StateVector, ops) -> list[complex]:
     ``f`` of :func:`_factor`, and its value is the sum of
     ``conj(psi(c)) f(c ^ dep) psi(c ^ dep)`` over the coordinates: one
     gather and one ``np.vdot`` per operator, no lookup and no
-    intermediate state.  A Hermitian operator whose value comes out
-    complex beyond 1e-12 raises ``AssertionError``.
+    intermediate state.  A Hermitian operator whose imaginary part does
+    not agree with 0 (:func:`~semionlab.errors._agree`) at the scale
+    ``<state|state>``, which bounds ``|<state| op |state>|``, raises
+    ``AssertionError``; so the check holds at any norm of the state.
     """
     blocks = _levels(state)
+    norm2 = float(np.vdot(blocks, blocks).real)
     out = []
     for op in ops:
         _check_operator(op, state.n_qubits)
         rem, dep = _gf2_reduce(op.x_mask, state.rows)
         val = 0j if rem else complex(np.vdot(
             blocks, _partner(_factor(op, state.index) * blocks, dep)))
-        if op.is_hermitian() and abs(val.imag) > 1e-12:
+        if op.is_hermitian() and not _agree(val.imag, 0.0, norm2):
             raise AssertionError(
                 f"Hermitian expectation came out complex: {val}")
         out.append(val)
@@ -355,6 +360,10 @@ def project_ground(layout: HoneycombLayout, cavity_dim: int = 1) -> StateVector:
 def energy_moments(state: StateVector, ham: HamiltonianTerms) -> tuple[float, float]:
     """(<H>, variance) for a Hermitian term list and a normalized state.
 
+    A state whose ``<state|state>`` does not agree with 1 at scale 1
+    (:func:`~semionlab.errors._agree`) raises ``ValueError``: the
+    moments of any other state are not those of the state it stands for.
+
     Each term ``c P`` sends the state onto the coset moved by the
     remainder of its ``x_mask`` (see :func:`apply_pauli`), so ``H|state>``
     is one buffer of the state's size per distinct remainder, the sum of
@@ -369,11 +378,15 @@ def energy_moments(state: StateVector, ham: HamiltonianTerms) -> tuple[float, fl
     """
     if ham.n_sites != state.n_qubits:
         raise DimensionMismatchError("Hamiltonian register mismatch")
+    blocks = _levels(state)
+    norm2 = float(np.vdot(blocks, blocks).real)
+    if not _agree(norm2, 1.0, 1.0):
+        raise ValueError("energy moments need a normalized state, "
+                         f"<state|state> = {norm2!r}")
     groups: dict[int, list] = {}
     for c, op in ham.terms:
         rem, dep = _gf2_reduce(op.x_mask, state.rows)
         groups.setdefault(rem, []).append((c, op, dep))
-    blocks = _levels(state)
     e = variance = 0.0
     for rem, terms in groups.items():
         hv = np.zeros_like(blocks)

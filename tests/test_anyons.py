@@ -16,6 +16,7 @@ from semionlab.anyons import (
     ControlledString,
     QndParams,
     StringSpec,
+    VortexMap,
     _flip_masks,
     braid_phase,
     braid_phase_on_state,
@@ -32,6 +33,7 @@ from semionlab.errors import (
     CapacityError,
     DimensionMismatchError,
     RepresentationError,
+    _agree,
 )
 from semionlab.lattice import BLACK, WHITE, build_layout
 from semionlab.operators import x_string_op
@@ -83,6 +85,12 @@ class TestVortexMap:
         twice = apply_pauli(apply_pauli(ground, spec.operator), spec.operator)
         vm = vortex_map(twice, layout)
         assert vm.flipped_against(base) == {"up": (), "down": ()}
+
+    def test_a_value_that_moved_by_1e_10_is_flipped(self):
+        # a move of 1e-10 is 100 times the window at scale 1
+        base = VortexMap(((1.0, -1.0), (1.0, 1.0)))
+        moved = VortexMap(((1.0 - 1e-10, -1.0), (1.0, 1.0 - 1e-10)))
+        assert moved.flipped_against(base) == {"up": (0,), "down": (1,)}
 
     def test_maps_of_different_sizes_are_refused(self):
         # 2x3 has 4 plaquettes and 2x4 has 6; zipping them compared the
@@ -300,6 +308,21 @@ class TestQndGate:
         params = QndParams(1.0, 0.5 * math.pi / 2, (0, 1))
         dev = qnd_closed_form_deviation(params, 2)
         assert dev > 0.5
+
+    def test_canonical_deviation_is_within_the_phase_scaled_window(self):
+        # S is the largest phase the gate applies, as in CLI qnd
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            n_qubits = int(rng.integers(1, 57))
+            cavity_dim = int(rng.integers(1, 65))
+            sites = rng.choice(n_qubits, int(rng.integers(1, n_qubits + 1)),
+                               replace=False).tolist()
+            chi = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-6, 6))
+            params = QndParams.canonical(chi, sites)
+            scale = max(1.0, abs(params.tau * chi) * (cavity_dim - 1)
+                        * params.n)
+            dev = qnd_closed_form_deviation(params, n_qubits, cavity_dim)
+            assert _agree(dev, 0.0, scale), (chi, sites, cavity_dim)
 
     def test_every_photon_sector_is_a_power_of_the_one_photon_gate(self):
         n = 4

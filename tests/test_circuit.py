@@ -299,6 +299,12 @@ class TestProtocolFrequencies:
         assert jc_resonance(1e-24, 0.5, 1e9)["drive_omega"] == 1e9
         assert not jc_resonance(1e-24, 0.3, 1e9)["at_degeneracy_point"]
 
+    def test_degeneracy_window_is_the_agreement_rule(self):
+        # n_g agrees with 0.5 within REL at scale 1, and no wider
+        assert not jc_resonance(1e-24, 0.5 + 4e-10,
+                                3e10)["at_degeneracy_point"]
+        assert jc_resonance(1e-24, 0.5 + 5e-13, 3e10)["at_degeneracy_point"]
+
     def test_monotone_in_gate_charge(self):
         vals = [jc_resonance(1e-24, ng, 1e9)["drive_omega"]
                 for ng in np.linspace(0.0, 0.5, 6)]

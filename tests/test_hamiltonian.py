@@ -10,12 +10,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semionlab.errors import CapacityError, RepresentationError
+from semionlab.errors import REL, CapacityError, RepresentationError, _agree
 from semionlab.hamiltonian import (
-    REL,
     DiagonalOracle,
     HamiltonianTerms,
-    _energies_agree,
     build_device_hamiltonian,
     _levels,
     build_spin_hamiltonian,
@@ -420,15 +418,15 @@ class TestEnergyWindow:
             build_spin_hamiltonian(layout, *couplings).scale, rel=1e-15)
 
     def test_window_is_relative_and_closed(self):
-        assert _energies_agree(1.0 + 1e-12, 1.0, 1.0)
-        assert not _energies_agree(1.0 + 2e-12, 1.0, 1.0)
-        assert _energies_agree(1e-30 + 1e-42, 1e-30, 1e-30)
-        assert not _energies_agree(1e-30 + 2e-42, 1e-30, 1e-30)
+        assert _agree(1.0 + 1e-12, 1.0, 1.0)
+        assert not _agree(1.0 + 2e-12, 1.0, 1.0)
+        assert _agree(1e-30 + 1e-42, 1e-30, 1e-30)
+        assert not _agree(1e-30 + 2e-42, 1e-30, 1e-30)
         # zero couplings: only an exact match agrees
-        assert _energies_agree(0.0, 0.0, 0.0)
-        assert not _energies_agree(5e-324, 0.0, 0.0)
+        assert _agree(0.0, 0.0, 0.0)
+        assert not _agree(5e-324, 0.0, 0.0)
         levels = np.array([-2.0, -2.0 + 1e-13, -2.0 + 1e-11, 1.0])
-        assert _energies_agree(levels, -2.0, 2.0).tolist() == \
+        assert _agree(levels, -2.0, 2.0).tolist() == \
             [True, True, False, False]
 
     def test_scale_overflow_raises(self):

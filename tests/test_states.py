@@ -13,6 +13,7 @@ from hypothesis import strategies as hst
 import semionlab
 
 from semionlab.errors import (
+    REL,
     CapacityError,
     DimensionMismatchError,
     ZeroProjectionError,
@@ -28,7 +29,6 @@ from semionlab.anyons import (
     vortex_map,
 )
 from semionlab.hamiltonian import (
-    REL,
     DiagonalOracle,
     HamiltonianTerms,
     build_spin_hamiltonian,
@@ -528,6 +528,29 @@ def test_energy_moments_at_5x5():
         - u * layout.square.n_sites
     assert abs(energy - expected) < 1e-10
     assert variance < 1e-10
+
+
+def test_energy_moments_refuse_a_state_that_is_not_normalized():
+    # its moments would be <H> = -16 and variance 576, against -4 and 0
+    # for the state it stands for
+    layout = build_layout(1, 2)
+    ham = build_spin_hamiltonian(layout, 1.0, 1.0, 1.0)
+    ground = project_ground(layout)
+    doubled = StateVector(layout.n_sites, 1, 2 * ground.amplitudes)
+    with pytest.raises(ValueError, match="normalized state"):
+        energy_moments(doubled, ham)
+
+
+@pytest.mark.parametrize("scale", [1e4, 1e6])
+def test_hermitian_expectation_of_a_large_state_is_real(scale):
+    # the imaginary roundoff grows with <psi|psi>: 9.3e-10 at 1e4
+    n = 8
+    amps = random_state(n, rng=np.random.default_rng(0)).amplitudes
+    op = PauliString.from_letters(n, {k: "Y" for k in range(n)})
+    val = expectation(StateVector(n, 1, scale * amps), op)
+    assert val.real == pytest.approx(
+        scale ** 2 * expectation(StateVector(n, 1, amps), op).real,
+        rel=1e-12)
 
 
 def test_overlap_across_spans_is_the_index_join():

@@ -168,6 +168,20 @@ def test_cli_bytes_runs_both_qnd_edges():
     assert runs["edge:qnd:in-budget"][1]["cavity_levels"] == 4
 
 
+def test_cli_bytes_runs_the_edges_of_the_changed_windows():
+    # the qnd deviation's window grows with the largest gate phase, and
+    # the braid check compares the state phase at 4x4
+    tool = _load("cli_bytes")
+    runs = {label: (command, cfg)
+            for label, command, cfg, _ in tool._all_runs(TOOLS.parent)}
+    command, cfg = runs["edge:qnd:phase-792"]
+    assert command == "qnd" and cfg["n_qubits"] == 16 and \
+        cfg["cavity_levels"] == 64 and len(cfg["sites"]) == 8
+    command, cfg = runs["edge:braid:4x4-state-check"]
+    assert command == "braid" and (cfg["rows"], cfg["cols"]) == (4, 4)
+    assert cfg["state_check"] is True
+
+
 def test_cli_bytes_runs_the_shadowed_inputs():
     tool = _load("cli_bytes")
     runs = {label: (command, cfg)

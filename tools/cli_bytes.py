@@ -19,7 +19,11 @@ first on ``PYTHONPATH``) runs on a fixed set of configs, each once with
 - a fixed list of ``circuit`` edge configs: very strong coupling, a
   determinant that underflows, and a partial set of frequency keys;
 - a fixed list of ``qnd`` edge configs: a register over the dense
-  budget and one inside it with four cavity levels;
+  budget, one inside it with four cavity levels, and one inside it
+  with 64 cavity levels, whose deviation window is about 800 times the
+  unit one;
+- a ``braid`` edge config: the README loop and crossing at 4x4, with
+  ``state_check``;
 - a fixed list of shadowed inputs, each a key that another key leaves
   unread or a second spelling of one value: ``circuit`` with ``c_c``
   beside ``beta``, ``circuit`` with a ``null`` temperature, and
@@ -122,12 +126,25 @@ CIRCUIT_EDGES = (
                              "beta": 0.05, "omega_c": 3e10, "delta": 1e9}),
 )
 
-# (label, config): 2 x 2**25 states, over the dense budget, and
-# 4 x 2**18 states, inside it.
+# (label, config): 2 x 2**25 states, over the dense budget,
+# 4 x 2**18 states, inside it, and 64 x 2**16 states, inside it, whose
+# largest gate phase is 63 * 8 * pi / 2, about 792.
 QND_EDGES = (
     ("over-budget", {"n_qubits": 25, "sites": [0, 24]}),
     ("in-budget", {"n_qubits": 18, "sites": [0, 5, 17],
                    "cavity_levels": 4}),
+    ("phase-792", {"n_qubits": 16, "sites": [0, 2, 4, 6, 8, 10, 12, 15],
+                   "cavity_levels": 64}),
+)
+
+# (label, config): the README braid loop and crossing at 4x4
+BRAID_EDGES = (
+    ("4x4-state-check",
+     {"rows": 4, "cols": 4,
+      "loop": {"family": "z", "sites": [[0, "black"], [0, "white"],
+                                        [1, "black"], [1, "white"]]},
+      "crossing": {"family": "x", "sites": [[0, "black"]]},
+      "state_check": True}),
 )
 
 # (label, command, config) of the shadowed inputs
@@ -213,6 +230,8 @@ def _all_runs(parent: Path) -> list[tuple[str, str, dict, int]]:
              for label, cfg in CIRCUIT_EDGES]
     runs += [(f"edge:qnd:{label}", "qnd", cfg, 0)
              for label, cfg in QND_EDGES]
+    runs += [(f"edge:braid:{label}", "braid", cfg, 0)
+             for label, cfg in BRAID_EDGES]
     runs += [(f"shadowed:{label}", command, cfg, 0)
              for label, command, cfg in SHADOWED]
     return runs
