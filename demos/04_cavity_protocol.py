@@ -37,7 +37,7 @@ for n in (1, 2, 4, 8):
     dev = qnd_closed_form_deviation(params, n_qubits=n)
     print(f"N={n}: closed form vs exponential, operator norm {dev:.2e}")
 print("one-photon gate for N=2:",
-      qnd_unitary(QndParams.canonical(1.0, (0, 1)), 1, 2), "(= -ZZ)")
+      qnd_unitary((0, 1), 1, 2), "(= -ZZ)")
 print()
 
 # Interferometry on the lattice ground state: a loop of whole links is

@@ -319,24 +319,29 @@ class QndParams:
     def is_canonical(self) -> bool:
         return _agree(self.chi * self.tau, math.pi / 2, math.pi / 2)
 
+    def deviation_scale(self, cavity_dim: int) -> float:
+        """``S`` of the :func:`qnd_closed_form_deviation` verdict,
+        ``max(1, |tau chi| (L - 1) N)`` over ``L = cavity_dim`` levels:
+        the float error of ``exp(-i theta)`` grows with ``theta``, so the
+        scale is the largest phase the gate applies."""
+        return max(1.0, abs(self.tau * self.chi) * (cavity_dim - 1) * self.n)
 
-def qnd_unitary(params: QndParams, n_c: int, n_qubits: int) -> PauliString:
-    """Closed-form gate in the ``n_c``-photon sector at the canonical time.
 
-    ``exp(-i tau chi n_c sum_j Z_j)`` at ``tau = pi/(2 chi)`` is
-    ``((-i)**N Z_string)**n_c``: the phase ``(-i)**(N n_c)`` times the Z
-    string over the ``N`` selected sites when ``n_c`` is odd, times the
-    identity when it is even (``n_c = 0`` included).
+def qnd_unitary(sites, n_c: int, n_qubits: int) -> PauliString:
+    """Closed-form gate on ``sites`` in the ``n_c``-photon sector.
+
+    ``exp(-i tau chi n_c sum_j Z_j)`` at the canonical time ``tau =
+    pi/(2 chi)`` is ``((-i)**N Z_string)**n_c`` for every ``chi``: the
+    phase ``(-i)**(N n_c)``, exponent ``3 N n_c``, times the Z string
+    over the ``N`` distinct selected sites when ``n_c`` is odd, times
+    the identity when it is even (``n_c = 0`` included).  A repeated
+    site counts once.
     """
-    if not params.is_canonical:
-        raise ValueError(
-            f"closed form holds at tau = pi/(2 chi); got chi*tau = "
-            f"{params.chi * params.tau}")
     if n_c < 0:
         raise ValueError(f"photon number must be >= 0, got {n_c}")
-    mask = _site_mask(params.sites, n_qubits)
+    mask = _site_mask(sites, n_qubits)
     return PauliString(n_qubits, 0, mask if n_c % 2 else 0,
-                       3 * params.n * n_c)
+                       3 * mask.bit_count() * n_c)
 
 
 def qnd_closed_form_deviation(params: QndParams, n_qubits: int,
@@ -365,8 +370,7 @@ def qnd_closed_form_deviation(params: QndParams, n_qubits: int,
     levels = np.arange(cavity_dim)[:, None]
     zsum = params.n - 2 * np.arange(params.n + 1)
     exact = np.exp(-1j * params.tau * (params.chi * (levels * zsum)))
-    canonical = QndParams.canonical(params.chi, params.sites)
-    closed = [_factor(qnd_unitary(canonical, n_c, n_qubits), reps)
+    closed = [_factor(qnd_unitary(params.sites, n_c, n_qubits), reps)
               for n_c in range(cavity_dim)]
     return float(np.max(np.abs(exact - closed)))
 
@@ -387,7 +391,7 @@ class ControlledString:
     def apply(self, state: StateVector) -> StateVector:
         """Apply the conditioned string gate to a cavity-tensored state.
 
-        Sector ``n_c`` receives ``qnd_unitary(..., n_c, ...)``, the
+        Sector ``n_c`` receives ``qnd_unitary(self.sites, n_c, n)``, the
         ``n_c``-th power of the one-photon unitary, which reproduces the
         exact dispersive evolution at the canonical time for every
         truncation level in one application per sector.  That unitary is
@@ -396,11 +400,11 @@ class ControlledString:
         """
         if state.cavity_dim < 2:
             raise CapacityError("controlled string needs a cavity register")
-        params = QndParams.canonical(1.0, self.sites)
         n = state.n_qubits
         values = _levels(state).copy()
         for n_c in range(1, state.cavity_dim):
-            values[n_c] *= _factor(qnd_unitary(params, n_c, n), state.index)
+            values[n_c] *= _factor(qnd_unitary(self.sites, n_c, n),
+                                   state.index)
         return _on_support(n, state.cavity_dim, state.index, values.ravel(),
                            state.rows)
 

@@ -322,17 +322,17 @@ def _levels(ham: HamiltonianTerms) -> tuple[list[tuple[int, int]],
     ``(-1)**b_k`` each term is a known sign and the energy is a signed
     sum of the coefficients.  Entry ``b`` of the ``2**r`` levels is that
     sum for the pattern whose bit ``k`` is ``b_k``; each level has
-    multiplicity ``2**(n - r)``.  The ``2**n`` levels must fit the budget
-    ``errors.DENSE_ELEMENTS`` (3x4, 24 sites, fits).  A list whose terms
-    do not all commute raises ``ValueError``; diagonalize
-    :func:`dense_matrix` for those.
+    multiplicity ``2**(n - r)``.  The ``2**r`` levels, the array built,
+    must fit the budget ``errors.DENSE_ELEMENTS`` (8x2, ``r = 24``, fits;
+    4x4, ``r = 28``, does not).  A list whose terms do not all commute
+    raises ``ValueError``; diagonalize :func:`dense_matrix` for those.
     """
     n = ham.n_sites
-    _require_capacity(1 << n, f"basis of {n} sites")
     if not ham.all_terms_commute():
         raise ValueError("spectrum needs commuting terms; "
                          "diagonalize dense_matrix(ham) instead")
     rows, deps = _echelon(op.x_mask << n | op.z_mask for _, op in ham.terms)
+    _require_capacity(1 << len(rows), f"tableau of 2**{len(rows)} levels")
     gens: list[PauliString] = []
     # commuting terms span at most n dimensions, so a pattern fits 32 bits
     patterns = np.arange(1 << len(rows), dtype=np.uint32)
@@ -353,7 +353,10 @@ def _levels(ham: HamiltonianTerms) -> tuple[list[tuple[int, int]],
 def spectrum(ham: HamiltonianTerms) -> np.ndarray:
     """Eigenvalues of a commuting term list, ascending, from its tableau
     (:func:`_levels`): each of the ``2**r`` levels repeated ``2**(n - r)``
-    times."""
+    times.  The ``2**n`` eigenvalues returned must fit the budget
+    ``errors.DENSE_ELEMENTS`` (3x4, 24 sites, fits), which is checked
+    first."""
+    _require_capacity(1 << ham.n_sites, f"basis of {ham.n_sites} sites")
     rows, levels = _levels(ham)
     return np.repeat(np.sort(levels), 1 << (ham.n_sites - len(rows)))
 
@@ -372,8 +375,11 @@ def ground_sector(ham: HamiltonianTerms) -> tuple[PauliString, float, int]:
     ``w & v``; back substitution on the rows, last row first, flips a
     row's leading bit of ``w`` until that parity matches the pattern's
     on the row's dep (later rows never hold an earlier row's leading
-    bit).  ``move`` carries the terms' tag, ``ham.rep``.  Raises as
-    :func:`spectrum` does.
+    bit).  ``move`` carries the terms' tag, ``ham.rep``.  Only the
+    ``2**r`` levels are built, so 7x2 (``r = 21``) and 8x2 (``r = 24``)
+    run while :func:`spectrum` refuses their ``2**n`` eigenvalues; 4x4
+    (``r = 28``) raises ``CapacityError`` naming its tableau.  Terms that
+    do not all commute raise ``ValueError``.
     """
     n = ham.n_sites
     rows, levels = _levels(ham)

@@ -35,6 +35,7 @@ Layouts are immutable after construction and all queries are pure.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field
 
@@ -105,10 +106,6 @@ class BondPlaquette:
         _set_down(self, down)
 
     @property
-    def sites(self) -> tuple[int, ...]:
-        return tuple(r for r in self.labels if r is not None)
-
-    @property
     def is_complete(self) -> bool:
         return None not in self.labels
 
@@ -174,8 +171,9 @@ class HoneycombLayout:
     ``(r, c)`` has rank ``c`` on row 0 and ``s(r) + 2c + (r & 1)`` above
     it, and the white site has rank ``s(r + 1) + 2c + (r & 1)``, or
     ``s(r + 1) + c`` on the top line.  The layout keeps them as two
-    tables indexed by square site; :meth:`site` inverts them one rank at
-    a time, so no site object exists until a caller asks for it.
+    tables indexed by square site; :meth:`site` reads their inverse, a
+    ``(square site, color)`` per rank built on first use, so no site
+    object exists until a caller asks for it.
 
     ``flip_columns[family]`` is the column table of that family's
     stabilizers over ``2 * n_sites`` bits: entry ``b`` is the bitmask of
@@ -278,27 +276,27 @@ class HoneycombLayout:
                 f"unknown honeycomb site {(square_site, color)}")
         return table[site]
 
+    @functools.cached_property
+    def _square_sites(self) -> list[tuple[int, str]]:
+        """``(square site, color)`` of each rank: the inverse of the rank
+        tables, built on first use."""
+        inverse = [None] * self.n_sites
+        for site, (b, w) in enumerate(zip(self._black, self._white)):
+            inverse[b] = (site, BLACK)
+            inverse[w] = (site, WHITE)
+        return inverse
+
     def site(self, rank: int) -> HoneycombSite:
-        """The site of one rank, from the closed form inverted."""
+        """The site of one rank, read off the inverse of the rank tables;
+        one site object is built per call.  The black site of row ``r``
+        lies on line ``r`` and the white one on line ``r + 1``."""
         if not 0 <= rank < self.n_sites:
             raise ValueError(f"rank {rank} outside layout")
         rank = operator.index(rank)
-        rows, cols = self.square.rows, self.square.cols
-        line = (rank - cols) // (2 * cols) + 1 if rank >= cols else 0
-        offset = rank - _line_start(line, cols)
-        if line == 0:
-            row, col, color = 0, offset, BLACK
-        elif line == rows:
-            row, col, color = rows - 1, offset, WHITE
-        else:
-            col = offset >> 1
-            # on line L the black site of row L sits at offset parity L & 1
-            if offset & 1 == line & 1:
-                row, color = line, BLACK
-            else:
-                row, color = line - 1, WHITE
-        return HoneycombSite(rank, row * cols + col, row, col, color, line,
-                             col + _x_offset(row))
+        square_site, color = self._square_sites[rank]
+        row, col = divmod(square_site, self.square.cols)
+        return HoneycombSite(rank, square_site, row, col, color,
+                             row + (color == WHITE), col + _x_offset(row))
 
     def complete_plaquettes(self) -> list[tuple[int, ...]]:
         """Ordered 6-tuples (labels 1..6) of the complete hexagons."""

@@ -144,7 +144,7 @@ def test_conditioned_string_closed_form():
         h = np.concatenate([0.0 * diag_terms, params.chi * diag_terms])
         exact = scipy.linalg.expm(-1j * params.tau * np.diag(h))
         closed0 = np.eye(dim)
-        closed1 = qnd_unitary(params, 1, n).to_matrix()
+        closed1 = qnd_unitary(params.sites, 1, n).to_matrix()
         dev0 = np.linalg.norm(exact[:dim, :dim] - closed0, 2)
         dev1 = np.linalg.norm(exact[dim:, dim:] - closed1, 2)
         worst = max(worst, float(dev0), float(dev1))

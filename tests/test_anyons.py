@@ -284,25 +284,26 @@ class TestFusion:
 
 class TestQndGate:
     def test_zero_photon_sector_is_identity(self):
-        params = QndParams.canonical(0.5, (0, 1, 2))
-        u = qnd_unitary(params, 0, 4)
+        u = qnd_unitary((0, 1, 2), 0, 4)
         assert u.is_identity_mask() and u.phase_exp == 0
 
     def test_two_site_one_photon_gate(self):
-        params = QndParams.canonical(1.0, (0, 1))
-        u = qnd_unitary(params, 1, 2)
+        u = qnd_unitary((0, 1), 1, 2)
         want = PauliString.from_letters(2, {0: "Z", 1: "Z"}).times_i(2)
         assert u == want  # (-i)^2 ZZ = -ZZ
+
+    def test_repeated_sites_count_once(self):
+        # the phase exponent counts the distinct sites of the string
+        for n_c in range(4):
+            assert qnd_unitary((2, 0, 2, 3, 0), n_c, 4) == \
+                qnd_unitary((0, 2, 3), n_c, 4)
+        assert qnd_unitary((1, 1), 1, 2) == \
+            PauliString.from_letters(2, {1: "Z"}).times_i(3)
 
     def test_closed_form_matches_exponential_small(self):
         for n in (1, 2, 3, 4):
             params = QndParams.canonical(0.8, tuple(range(n)))
             assert qnd_closed_form_deviation(params, n) < 1e-12
-
-    def test_wrong_time_rejected_by_closed_form(self):
-        params = QndParams(1.0, 0.5 * math.pi / 2, (0,))
-        with pytest.raises(ValueError):
-            qnd_unitary(params, 1, 1)
 
     def test_wrong_time_deviation_reported(self):
         params = QndParams(1.0, 0.5 * math.pi / 2, (0, 1))
@@ -319,23 +320,23 @@ class TestQndGate:
                                replace=False).tolist()
             chi = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-6, 6))
             params = QndParams.canonical(chi, sites)
-            scale = max(1.0, abs(params.tau * chi) * (cavity_dim - 1)
-                        * params.n)
+            scale = params.deviation_scale(cavity_dim)
+            assert scale == max(1.0, abs(params.tau * chi)
+                                * (cavity_dim - 1) * len(set(sites)))
             dev = qnd_closed_form_deviation(params, n_qubits, cavity_dim)
             assert _agree(dev, 0.0, scale), (chi, sites, cavity_dim)
 
     def test_every_photon_sector_is_a_power_of_the_one_photon_gate(self):
         n = 4
         for sites in ((0, 2, 3), (1, 3)):
-            params = QndParams.canonical(0.7, sites)
-            u1 = qnd_unitary(params, 1, n).to_matrix()
+            u1 = qnd_unitary(sites, 1, n).to_matrix()
             for k in range(4):
-                assert np.array_equal(qnd_unitary(params, k, n).to_matrix(),
+                assert np.array_equal(qnd_unitary(sites, k, n).to_matrix(),
                                       np.linalg.matrix_power(u1, k))
 
     def test_negative_photon_number_rejected(self):
         with pytest.raises(ValueError):
-            qnd_unitary(QndParams.canonical(1.0, (0,)), -1, 2)
+            qnd_unitary((0,), -1, 2)
 
     @pytest.mark.parametrize("canonical", (True, False))
     def test_deviation_equals_dense_expm_reference(self, canonical):
@@ -355,8 +356,7 @@ class TestQndGate:
             h = np.kron(np.diag(np.arange(cavity_dim, dtype=float)),
                         chi * zsum)
             u_exact = scipy.linalg.expm(-1j * tau * h)
-            u1 = qnd_unitary(QndParams.canonical(chi, sites), 1,
-                             n).to_matrix()
+            u1 = qnd_unitary(sites, 1, n).to_matrix()
             want = max(
                 np.linalg.norm(u_exact[k * dim:(k + 1) * dim,
                                        k * dim:(k + 1) * dim]
@@ -388,10 +388,9 @@ class TestQndGate:
         levels = np.arange(cavity_dim)
         diag = params.chi * (levels[:, None] * zsum[None, :]).ravel()
         exact = np.exp(-1j * params.tau * diag)
-        canonical = QndParams.canonical(params.chi, params.sites)
         qubits = np.arange(1 << n)
         closed = np.concatenate([
-            _factor(qnd_unitary(canonical, n_c, n), qubits)
+            _factor(qnd_unitary(params.sites, n_c, n), qubits)
             for n_c in range(cavity_dim)])
         return float(np.max(np.abs(exact - closed)))
 
@@ -439,7 +438,7 @@ class TestQndGate:
             zsum += op
         h = np.kron(np.diag([0.0, 1.0]), chi * zsum)
         u_exact = scipy.linalg.expm(-1j * params.tau * h)
-        u1 = qnd_unitary(params, 1, n).to_matrix()
+        u1 = qnd_unitary(params.sites, 1, n).to_matrix()
         block = u_exact[dim:, dim:]
         assert np.linalg.norm(block - u1, 2) < 1e-12
         assert np.linalg.norm(u_exact[:dim, :dim] - np.eye(dim), 2) < 1e-12
@@ -453,7 +452,7 @@ class TestControlledString:
         st = StateVector(n, 2, np.concatenate(
             [np.zeros(1 << n), qubits.amplitudes]))
         out = ControlledString(sites).apply(st)
-        u1 = qnd_unitary(QndParams.canonical(1.0, sites), 1, n)
+        u1 = qnd_unitary(sites, 1, n)
         want = apply_pauli(qubits, u1)
         assert np.allclose(out.blocks()[1], want.amplitudes)
         assert np.allclose(out.blocks()[0], 0)
@@ -509,10 +508,9 @@ class TestControlledString:
         else:
             st = random_state(5, cavity_dim=4, rng=np.random.default_rng(8))
             sites = (1, 2, 4)
-        params = QndParams.canonical(1.0, sites)
         want = st.values.reshape(st.cavity_dim, -1).copy()
         for n_c in range(1, st.cavity_dim):
-            want[n_c] *= _factor(qnd_unitary(params, n_c, st.n_qubits),
+            want[n_c] *= _factor(qnd_unitary(sites, n_c, st.n_qubits),
                                  st.index)
         out = ControlledString(sites).apply(st)
         assert np.array_equal(out.index, st.index) and out.rows == st.rows
@@ -529,8 +527,7 @@ class TestControlledString:
         n = 4
         st = random_state(n, cavity_dim=4, rng=np.random.default_rng(4))
         for sites in ((0, 2, 3), (1, 3)):
-            u1 = qnd_unitary(QndParams.canonical(1.0, sites), 1,
-                             n).to_matrix()
+            u1 = qnd_unitary(sites, 1, n).to_matrix()
             out = ControlledString(sites).apply(st)
             for n_c in range(4):
                 want = np.linalg.matrix_power(u1, n_c) @ st.blocks()[n_c]

@@ -243,7 +243,23 @@ class TestGround:
         code, out, err = run(["ground", "--config", cfg], capsys)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "basis of 32 sites" in err
+        assert "oracle over 16 sites" in err
+
+    def test_7x2_refused_by_the_oracle_before_the_spin_side(
+            self, tmp_path, capsys, monkeypatch):
+        # ground_sector fits 7x2 (2**21 levels); the oracle's 4**14 does
+        # not, and it is asked first
+        import semionlab.cli as cli
+
+        def spin_side(ham):
+            raise AssertionError("ground_sector called")
+
+        monkeypatch.setattr(cli, "ground_sector", spin_side)
+        cfg = write_config(tmp_path, "g.json", {"rows": 7, "cols": 2})
+        code, out, err = run(["ground", "--config", cfg], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: oracle over 14 sites ") and \
+            err.count("\n") == 1
 
     def test_variance_never_negative(self, tmp_path):
         # a sum of squares; on one BLAS thread <H^2> - <H>^2 rounded to

@@ -18,6 +18,7 @@ from semionlab.hamiltonian import (
     _levels,
     build_spin_hamiltonian,
     dense_matrix,
+    ground_sector,
     predicted_ground_degeneracy,
     spectrum,
 )
@@ -370,6 +371,23 @@ class TestTableauSpectrum:
 
 
 class TestGroundDegeneracy:
+    def test_ground_sector_past_the_basis_budget(self):
+        # 28 sites, whose 2**28 eigenvalues spectrum refuses; the tableau
+        # holds 2**21 levels
+        layout = build_layout(7, 2)
+        ham = build_spin_hamiltonian(layout, 1.0, 1.0, 1.0)
+        with pytest.raises(CapacityError, match="basis of 28 sites"):
+            spectrum(ham)
+        _, energy, degeneracy = ground_sector(ham)
+        assert energy == -28.0
+        assert degeneracy == 128 == \
+            predicted_ground_degeneracy(layout, 1.0, 1.0, 1.0)
+
+    def test_ground_sector_refuses_its_tableau_at_4x4(self):
+        ham = build_spin_hamiltonian(build_layout(4, 4), 1.0, 1.0, 1.0)
+        with pytest.raises(CapacityError, match=r"tableau of 2\*\*28 levels"):
+            ground_sector(ham)
+
     def test_oracle_matches_prediction_and_ed(self):
         layout = build_layout(2, 3)
         oracle = DiagonalOracle(layout, 1.0, 1.0, 1.0)

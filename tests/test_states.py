@@ -19,7 +19,6 @@ from semionlab.errors import (
     ZeroProjectionError,
 )
 from semionlab.anyons import (
-    QndParams,
     StringSpec,
     braid_phase,
     braid_phase_on_state,
@@ -458,7 +457,7 @@ class TestSupportMatchesDense:
             with pytest.raises(CapacityError):
                 interferometry_run(layout, states[0], sites)
             return
-        gate = qnd_unitary(QndParams.canonical(1.0, sites), 1, n)
+        gate = qnd_unitary(sites, 1, n)
         for state in states:
             q = state.blocks()[0]
             q = q / np.linalg.norm(q)

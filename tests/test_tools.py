@@ -182,6 +182,14 @@ def test_cli_bytes_runs_the_edges_of_the_changed_windows():
     assert cfg["state_check"] is True
 
 
+def test_cli_bytes_runs_the_ground_edge_past_the_basis_budget():
+    # 7x2: inside the tableau's budget, past the oracle's
+    tool = _load("cli_bytes")
+    runs = {label: (command, cfg)
+            for label, command, cfg, _ in tool._all_runs(TOOLS.parent)}
+    assert runs["edge:ground:7x2"] == ("ground", {"rows": 7, "cols": 2})
+
+
 def test_cli_bytes_runs_the_shadowed_inputs():
     tool = _load("cli_bytes")
     runs = {label: (command, cfg)

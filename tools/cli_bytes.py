@@ -24,6 +24,9 @@ first on ``PYTHONPATH``) runs on a fixed set of configs, each once with
   unit one;
 - a ``braid`` edge config: the README loop and crossing at 4x4, with
   ``state_check``;
+- a ``ground`` edge config at 7x2, refused at a size check: its 28
+  sites are past the basis budget, its 14 square sites past the
+  oracle's, and its 2**21 tableau levels inside the budget;
 - a fixed list of shadowed inputs, each a key that another key leaves
   unread or a second spelling of one value: ``circuit`` with ``c_c``
   beside ``beta``, ``circuit`` with a ``null`` temperature, and
@@ -81,7 +84,7 @@ README_CONFIGS = (
 
 # (rows, cols, j_up, j_down, u).  `ground` moves the all-+1 plaquette
 # state into the tableau's ground sector, so each exits 0 but 4x4, which
-# exits 2 at the tableau's size check.
+# exits 2 at a size check.
 SIGNED_GROUND = (
     (2, 3, 1.0, 0.5, -1.0),
     (2, 3, -1.0, -0.5, 0.3),
@@ -145,6 +148,11 @@ BRAID_EDGES = (
                                         [1, "black"], [1, "white"]]},
       "crossing": {"family": "x", "sites": [[0, "black"]]},
       "state_check": True}),
+)
+
+# (label, config): 7x2, which ground_sector runs and CLI ground refuses
+GROUND_EDGES = (
+    ("7x2", {"rows": 7, "cols": 2}),
 )
 
 # (label, command, config) of the shadowed inputs
@@ -232,6 +240,8 @@ def _all_runs(parent: Path) -> list[tuple[str, str, dict, int]]:
              for label, cfg in QND_EDGES]
     runs += [(f"edge:braid:{label}", "braid", cfg, 0)
              for label, cfg in BRAID_EDGES]
+    runs += [(f"edge:ground:{label}", "ground", cfg, 0)
+             for label, cfg in GROUND_EDGES]
     runs += [(f"shadowed:{label}", command, cfg, 0)
              for label, command, cfg in SHADOWED]
     return runs
